@@ -32,7 +32,6 @@
 ///                  [--corrupt-line K]
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -46,7 +45,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -323,19 +321,12 @@ int run(const Args& args) {
   {
     const PrepLines lines = prep_lines(args.seed, scale, helpers);
     api::Dispatcher d;
-    // Fillers on a few threads (their LRU order is immaterial), then
-    // the pool on this one, so the pool ends most recently used.
-    std::atomic<std::size_t> next{0}, good{0};
-    const auto worker = [&] {
-      for (std::size_t i = next++; i < lines.fillers.size(); i = next++)
-        if (is_ok(dispatch_line(d, lines.fillers[i]))) ++good;
-    };
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < helpers; ++t)
-      pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-    for (const std::string& line : lines.pool)
-      if (is_ok(dispatch_line(d, line))) ++good;
+    // One thread, in order: the cache contents (which fillers the budget
+    // evicts) then depend on the seed alone, and the pool, last, ends
+    // most recently used.
+    std::size_t good = 0;
+    for (const auto* part : {&lines.fillers, &lines.pool})
+      for (const std::string& line : *part) good += is_ok(dispatch_line(d, line));
     prep.sent = lines.fillers.size() + lines.pool.size();
     prep.completed = good;
     prep.failed = prep.sent - good;
@@ -476,6 +467,9 @@ int run(const Args& args) {
   client.reset();
   const int exit_status = server->stop(60.0);
   server.reset();
+  // The server saved its caches on the way out; write them back before
+  // the in-process replay is timed.
+  ::sync();
 
   // 4. The traced replay (per-layer metrics).
   std::optional<ReplayResult> rep;

@@ -25,7 +25,6 @@ class ServerProcess {
   ServerProcess(const ServerProcess&) = delete;
   ServerProcess& operator=(const ServerProcess&) = delete;
 
-  bool running() const { return pid_ > 0; }
   pid_t pid() const { return pid_; }
 
   /// Polls the server's stderr for its "listening on host:port" line.

@@ -393,18 +393,14 @@ ReplayResult replay(const Stream& stream, const LineFn& line, std::uint64_t n,
   rec.spans().reserve(n * 10);
   std::size_t sink = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
-    const std::int64_t start = rec.now();
-    api::Decoded<api::Request> dec;
-    api::Response resp;
-    std::string encoded;
     const std::int64_t a = rec.now();
-    dec = api::decode_request(lines[k]);
+    const api::Decoded<api::Request> dec = api::decode_request(lines[k]);
     const std::int64_t b = rec.now();
-    resp = dispatch_decoded(*d, dec);
+    const api::Response resp = dispatch_decoded(*d, dec);
     const std::int64_t c = rec.now();
-    encoded = api::encode_response(resp, false);
+    const std::string encoded = api::encode_response(resp, false);
     const std::int64_t e = rec.now();
-    const std::int32_t root = rec.add(kRequest, -1, k, start, e);
+    const std::int32_t root = rec.add(kRequest, -1, k, a, e);
     rec.add(kDecode, root, k, a, b);
     const std::int32_t dispatch = rec.add(kDispatch, root, k, b, c);
     rec.add(kEncode, root, k, c, e);

@@ -48,7 +48,11 @@ Scale Scale::tiny() {
   return s;
 }
 
-std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+namespace {
+
+/// 64-bit mix of a few values (splitmix64 finalizer chain); derives the
+/// per-model and per-line seeds from the workload seed.
+std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0) {
   auto fin = [](std::uint64_t z) {
     z += 0x9E3779B97F4A7C15ull;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -57,6 +61,19 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   };
   return fin(fin(fin(a) ^ b) ^ c);
 }
+
+/// One generated model: its text plus the decoration facts the request
+/// generators need (bounds are drawn relative to them).
+struct Model {
+  std::string text;
+  std::vector<std::string> bas_names;
+  double total_cost = 0.0;    ///< sum of BAS costs
+  double total_damage = 0.0;  ///< sum of node damages (the maximum)
+};
+
+/// Model family tags: every family draws from its own seed space, so a
+/// cold model is never one the snapshot has seen.
+enum class Family : std::uint64_t { Pool = 1, Filler = 2, Cold = 3, Session = 4 };
 
 Model make_model(std::uint64_t seed, Family family, std::uint64_t index,
                  std::size_t nodes) {
@@ -88,6 +105,8 @@ Model make_model(std::uint64_t seed, Family family, std::uint64_t index,
   return m;
 }
 
+/// The same model with every node renamed and every gate's children
+/// shuffled: canonically identical, textually different.
 std::string permute_model(const std::string& text, std::uint64_t seed) {
   const atcd::ParsedModel p = atcd::parse_model(text);
   const atcd::AttackTree& t = p.tree;
@@ -123,8 +142,6 @@ std::string permute_model(const std::string& text, std::uint64_t seed) {
   }
   return atcd::serialize_model(out, cost, damage, &prob);
 }
-
-namespace {
 
 constexpr const char* kIdSlot = "@ID@";
 
@@ -174,6 +191,28 @@ std::string pool_template(const std::string& model, std::size_t spec) {
 }
 
 constexpr std::size_t kPoolSpecs = 4;  // cdpf + three dgc budgets
+
+std::string solve_line(const std::string& id, const char* problem,
+                       std::optional<double> bound, const std::string& model,
+                       const std::string& engine = {}) {
+  api::Request req;
+  req.id = id;
+  req.op = api::SolveRequest{spec_of(problem, bound, model, engine)};
+  return api::encode_request(req);
+}
+
+std::string open_line(const std::string& id, const char* problem, double bound,
+                      const std::string& model) {
+  api::Request req;
+  req.id = id;
+  req.op = api::SessionOpenRequest{spec_of(problem, bound, model, {})};
+  return api::encode_request(req);
+}
+
+/// The problem every edit session runs, and its budget.
+constexpr const char* kSessionProblem = "dgc";
+
+double session_bound(const Model& m) { return std::round(0.4 * m.total_cost); }
 
 /// warm_hits: 64 pool models, cdpf : dgc = 1 : 3, a quarter of the
 /// requests renamed/reordered resubmissions.
@@ -288,25 +327,7 @@ class EditStream final : public Stream {
   std::uint64_t seed_;
   std::vector<Model> models_;
 };
-
 }  // namespace
-
-std::string solve_line(const std::string& id, const char* problem,
-                       std::optional<double> bound, const std::string& model,
-                       const std::string& engine) {
-  api::Request req;
-  req.id = id;
-  req.op = api::SolveRequest{spec_of(problem, bound, model, engine)};
-  return api::encode_request(req);
-}
-
-std::string open_line(const std::string& id, const char* problem, double bound,
-                      const std::string& model) {
-  api::Request req;
-  req.id = id;
-  req.op = api::SessionOpenRequest{spec_of(problem, bound, model, {})};
-  return api::encode_request(req);
-}
 
 std::string stats_line(const std::string& id) {
   api::Request req;
@@ -321,8 +342,6 @@ std::string metrics_line(const std::string& id) {
   req.op = api::MetricsRequest{};
   return api::encode_request(req);
 }
-
-double session_bound(const Model& m) { return std::round(0.4 * m.total_cost); }
 
 std::unique_ptr<Stream> make_stream(Workload w, std::uint64_t seed,
                                     const Scale& scale) {

@@ -46,42 +46,9 @@ struct Scale {
   static Scale tiny();
 };
 
-/// 64-bit mix of a few values (splitmix64 finalizer chain); derives the
-/// per-model and per-line seeds from the workload seed.
-std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0);
-
-/// One generated model: its text plus the decoration facts the request
-/// generators need (bounds are drawn relative to them).
-struct Model {
-  std::string text;
-  std::vector<std::string> bas_names;
-  double total_cost = 0.0;    ///< sum of BAS costs
-  double total_damage = 0.0;  ///< sum of node damages (the maximum)
-};
-
-/// Model family tags: every family draws from its own seed space, so a
-/// cold model is never one the snapshot has seen.
-enum class Family : std::uint64_t { Pool = 1, Filler = 2, Cold = 3, Session = 4 };
-
-Model make_model(std::uint64_t seed, Family family, std::uint64_t index,
-                 std::size_t nodes);
-
-/// The same model with every node renamed and every gate's children
-/// shuffled: canonically identical, textually different.
-std::string permute_model(const std::string& text, std::uint64_t seed);
-
-/// Request-line helpers (the v1 JSON envelope, api::encode_request).
-std::string solve_line(const std::string& id, const char* problem,
-                       std::optional<double> bound, const std::string& model,
-                       const std::string& engine = {});
-std::string open_line(const std::string& id, const char* problem, double bound,
-                      const std::string& model);
+/// Request lines for the server's counters (the v1 JSON envelope).
 std::string stats_line(const std::string& id);
 std::string metrics_line(const std::string& id);
-
-/// The problem every edit session runs and its bound.
-inline constexpr const char* kSessionProblem = "dgc";
-double session_bound(const Model& m);
 
 /// A workload's request stream.  Lines carry the id "r<k>".
 class Stream {
@@ -118,8 +85,8 @@ std::vector<std::string> generate_lines(const Stream& stream, std::uint64_t firs
                                         std::size_t count, unsigned threads);
 
 /// Request lines that fill a cache to its steady state for \p seed.
-/// Shared by all three workloads: the fillers go in first (in any
-/// order), then the warm pool, so the pool is most recently used.
+/// Shared by all three workloads: the fillers go in first, then the
+/// warm pool, so the pool is most recently used.
 struct PrepLines {
   std::vector<std::string> fillers;
   std::vector<std::string> pool;

@@ -11,12 +11,13 @@ checkout it sits in (into .bench_build/), then runs one of:
       request counts and the run environment.
 
   run.py --steadiness K [--workloads a,b] [--seconds S] [--trace 0|1]
-         [--seed-base N]
-      Repeats each workload K times (seeds N..N+K-1) and prints each run
-      and, per metric, the median, quartiles, (q3-q1)/median and
-      (max-min)/median, flagging every metric whose range exceeds its
-      bound in BENCHMARK.json, or whose quartile spread exceeds a third
-      of it.
+         [--seed-base N] [--same-seed]
+      Repeats each workload K times (seeds N..N+K-1, or seed N every
+      time with --same-seed, so the spread is the machine's alone) and
+      prints each run and, per metric, the median, quartiles,
+      (q3-q1)/median and (max-min)/median, flagging every metric whose
+      range exceeds its bound in BENCHMARK.json, or whose quartile
+      spread exceeds a third of it.
 
   run.py --self-test
       A tiny-size run of every workload that checks the output contract
@@ -133,7 +134,7 @@ def steadiness(args):
     for w in workloads:
         values = {}
         for i in range(args.steadiness):
-            seed = args.seed_base + i
+            seed = args.seed_base + (0 if args.same_seed else i)
             rc, out = run_driver(driver_cmd(w, seed, seconds, args.trace), True)
             res = last_json(out)
             try:
@@ -160,7 +161,7 @@ def steadiness(args):
             if bound is not None and rng > bound:
                 mark = "  SPREAD > BOUND"
                 flagged.append((w, name))
-            elif bound is not None and name != "setup_s" and iqr > bound / 3:
+            elif bound is not None and iqr > bound / 3:
                 mark = "  iqr > bound/3"
                 flagged.append((w, name))
             print("  %-34s %12.6g %12.6g %12.6g %8.4f %8.4f %6s%s" %
@@ -218,6 +219,8 @@ def main():
     ap.add_argument("--steadiness", type=int, metavar="K")
     ap.add_argument("--workloads", help="comma-separated subset for --steadiness")
     ap.add_argument("--seed-base", type=int, default=1)
+    ap.add_argument("--same-seed", action="store_true",
+                    help="--steadiness: every run uses --seed-base")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
 

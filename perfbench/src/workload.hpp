@@ -38,7 +38,7 @@ struct Scale {
   std::size_t sessions = 16;
   std::size_t cache_entries = 4096;  ///< ResultCache default entry budget
   std::size_t warmup_requests = 256;  ///< untimed, still checked
-  std::size_t setup_boots = 3;        ///< boots whose median is setup_s
+  std::size_t setup_boots = 5;        ///< boots whose median is setup_s
   std::size_t trace_requests = 3000;  ///< replay prefix per workload
   std::size_t bilp_samples = 3;       ///< cold answers re-solved by BILP
 

@@ -323,18 +323,11 @@ TEST(Trace, TracingNeverChangesSolveResults) {
 TEST(Trace, UntracedResponsesAreByteIdenticalAcrossThreadCounts) {
   // The same pipelined workload on 1 and 4 worker threads; with tracing
   // off, the response bytes (sorted by id) must not depend on threading
-  // or on anything the instruments recorded.  The models are distinct
-  // (distinct costs): whether an *identical* concurrent request reads
-  // "hit" or "coalesced" is scheduling-dependent by design (see
-  // api/server.hpp), while distinct requests are all deterministic misses.
+  // or on anything the instruments recorded.
   std::string script;
   for (int i = 0; i < 6; ++i) {
-    Request req;
+    Request req = solve_request();
     req.id = std::to_string(i);
-    std::ostringstream model;
-    model << "bas a cost=" << (i + 1) << " damage=2\n"
-          << "bas b cost=4 damage=1\nor r = a, b damage=10\n";
-    req.op = SolveRequest{{engine::Problem::Cdpf, 0.0, false, "", model.str()}};
     script += encode_request(req) + "\n";
   }
   std::vector<std::vector<std::string>> outputs;

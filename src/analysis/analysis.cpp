@@ -1,9 +1,8 @@
 #include "analysis/analysis.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
 namespace atcd::analysis {
 namespace {
@@ -106,15 +105,28 @@ std::optional<Axis> parse_axis(const std::string& spec, std::string* error) {
                         static_cast<std::size_t>(steps));
 }
 
-std::string format_num(double v) {
+void append_num(std::string* out, double v) {
   // %.17g round-trips every double; prefer the shorter %.15g rendering
   // when it parses back exactly (it does for almost all model inputs),
   // so tables stay human-readable without sacrificing byte-stability.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  if (std::strtod(buf, nullptr) != v)
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  // to_chars with a precision is printf's %g in the "C" locale, whatever
+  // the process locale.  A failed parse-back (out of range) leaves the
+  // NaN, which compares unequal, so it too takes %.17g.
+  char buf[32];
+  auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                         15);
+  double back = std::numeric_limits<double>::quiet_NaN();
+  std::from_chars(buf, r.ptr, back);
+  if (back != v)
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      17);
+  out->append(buf, r.ptr);
+}
+
+std::string format_num(double v) {
+  std::string out;
+  append_num(&out, v);
+  return out;
 }
 
 std::optional<defense::Countermeasure> parse_countermeasure(

@@ -65,10 +65,14 @@ struct Axis {
 /// Returns nullopt and sets \p error on a malformed spec.
 std::optional<Axis> parse_axis(const std::string& spec, std::string* error);
 
-/// Shortest round-trippable decimal rendering ("%.17g"-style, trimmed):
-/// the one number format every analysis table uses, so rendered tables
-/// are byte-stable across runs and thread counts.
+/// Round-trippable decimal rendering: "%.15g" when that parses back to
+/// \p v exactly, else "%.17g" (both in the "C" locale).  The one number
+/// format every analysis table and the JSON codec use, so rendered
+/// output is byte-stable across runs, thread counts and locales.
 std::string format_num(double v);
+
+/// Appends format_num(v) to \p out without a temporary string.
+void append_num(std::string* out, double v);
 
 /// Parses the protocol/CLI countermeasure spec
 ///   <name>:<cost>:<bas>[+<bas>...]

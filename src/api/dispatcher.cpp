@@ -48,33 +48,67 @@ struct Failure {
   throw Failure{code, std::move(message)};
 }
 
-SolvePayload payload_of(const service::Response& r) {
+/// The payload of \p result; \p render(i, witness) renders the i-th
+/// witness (front point i, or 0 for the attack).
+template <typename Render>
+SolvePayload make_payload(engine::Problem problem,
+                          const engine::SolveResult& result, const char* cache,
+                          service::CanonHash hash, const Render& render) {
   SolvePayload p;
-  p.problem = r.problem;
-  p.backend = r.result.backend;
-  p.cache = r.cache_hit ? "hit" : r.coalesced ? "coalesced" : "miss";
-  p.hash = r.model_hash;
-  p.is_front = engine::is_front(r.problem);
-  const AttackTree* tree =
-      r.det ? &r.det->tree : r.prob ? &r.prob->tree : nullptr;
-  const auto render = [&](const Attack& witness) {
-    return tree ? attack_to_string(*tree, witness) : witness.to_string();
-  };
+  p.problem = problem;
+  p.backend = result.backend;
+  p.cache = cache;
+  p.hash = hash;
+  p.is_front = engine::is_front(problem);
   if (p.is_front) {
-    p.points.reserve(r.result.front.size());
-    for (const FrontPoint& fp : r.result.front)
+    p.points.reserve(result.front.size());
+    for (std::size_t i = 0; i < result.front.size(); ++i) {
+      const FrontPoint& fp = result.front[i];
       p.points.push_back(
-          {fp.value.cost, fp.value.damage, render(fp.witness)});
+          {fp.value.cost, fp.value.damage, render(i, fp.witness)});
+    }
   } else {
-    const OptAttack& a = r.result.attack;
+    const OptAttack& a = result.attack;
     p.feasible = a.feasible;
     if (a.feasible) {
       p.cost = a.cost;
       p.damage = a.damage;
-      p.attack = render(a.witness);
+      p.attack = render(0, a.witness);
     }
   }
   return p;
+}
+
+SolvePayload payload_of(const service::Response& r) {
+  const AttackTree* tree =
+      r.det ? &r.det->tree : r.prob ? &r.prob->tree : nullptr;
+  return make_payload(
+      r.problem, r.result,
+      r.cache_hit ? "hit" : r.coalesced ? "coalesced" : "miss", r.model_hash,
+      [&](std::size_t, const Attack& witness) {
+        return tree ? attack_to_string(*tree, witness) : witness.to_string();
+      });
+}
+
+/// An exact-bytes hit: the canonical hit's payload, from the alias's
+/// pre-rendered witnesses.
+SolvePayload payload_of(const service::ResultCache::ExactAlias& a) {
+  return make_payload(a.key.problem, *a.result, "hit", a.key.model,
+                      [&](std::size_t i, const Attack&) {
+                        return a.witnesses[i];
+                      });
+}
+
+/// The rendered witnesses of \p p, in make_payload's render order.
+std::vector<std::string> witnesses_of(const SolvePayload& p) {
+  std::vector<std::string> out;
+  if (p.is_front) {
+    out.reserve(p.points.size());
+    for (const FrontPointPayload& fp : p.points) out.push_back(fp.attack);
+  } else if (p.feasible) {
+    out.push_back(p.attack);
+  }
+  return out;
 }
 
 /// Parses model text for \p problem into the matching model kind.
@@ -169,9 +203,11 @@ void Dispatcher::init_instruments() {
   persist_save_errors_ = &metrics_->counter("atcd_persist_save_errors_total");
   persist_load_errors_ = &metrics_->counter("atcd_persist_load_errors_total");
   request_micros_ = &metrics_->histogram("atcd_api_request_micros");
-  for (std::size_t i = 0; i < op_micros_.size(); ++i)
+  for (std::size_t i = 0; i < op_micros_.size(); ++i) {
     op_micros_[i] = &metrics_->histogram(
         std::string("atcd_api_request_micros_") + kOpNames[i]);
+    request_micros_->include(*op_micros_[i]);
+  }
 }
 
 void Dispatcher::refresh_gauges() const {
@@ -283,6 +319,17 @@ BatchPayload::Item Dispatcher::solve_item(const SolveSpec& spec) {
   try {
     check_engine(*service_, spec.engine);
     check_bound(spec.bound, spec.has_bound);
+    // Exact-bytes probe: a text that already hit canonically under the
+    // same (problem, bound, engine) is served without parsing.
+    const bool cached = service_->options().enable_cache;
+    if (cached) {
+      obs::SpanScope span("service.exact");
+      if (const auto alias = service_->cache().lookup_exact(
+              spec.problem, spec.bound, spec.engine, spec.model)) {
+        item.solve = payload_of(*alias);
+        return item;
+      }
+    }
     service::Request sreq;
     sreq.problem = spec.problem;
     sreq.bound = spec.bound;
@@ -295,6 +342,11 @@ BatchPayload::Item Dispatcher::solve_item(const SolveSpec& spec) {
       return item;
     }
     item.solve = payload_of(r);
+    if (cached && r.cache_hit)
+      service_->cache().attach_exact(
+          {r.model_hash, spec.problem,
+           service::key_bound(spec.problem, spec.bound), spec.engine},
+          spec.model, r.result, witnesses_of(item.solve));
   } catch (const Failure& f) {
     item.code = f.code;
     item.error = f.message;
@@ -613,8 +665,7 @@ Response Dispatcher::dispatch(const Request& request) {
       slow_request_micros_ > 0.0 && resp.micros >= slow_request_micros_;
   if (record_) {
     const auto us = static_cast<std::uint64_t>(resp.micros);
-    request_micros_->record(us);
-    op_micros_[request.op.index()]->record(us);
+    op_micros_[request.op.index()]->record(us);  // request_micros_ too
     if (slow)
       std::fprintf(stderr,
                    "{\"event\": \"slow_request\", \"op\": %s, \"id\": %s, "

@@ -113,6 +113,10 @@ class Dispatcher {
   friend struct OperationHandler;
 
   Response dispatch_op(const Request& request);
+  /// One solve.  A model text that already hit canonically is served
+  /// from its exact-bytes cache alias (service/cache.hpp) without
+  /// parsing; otherwise it is parsed and handled by the service, and a
+  /// canonical hit attaches an alias for the text.
   BatchPayload::Item solve_item(const SolveSpec& spec);
   /// Writes one Chrome trace-event file for a sampled slow request
   /// (trace_dir mode); silently stops at trace_max_files.
@@ -160,7 +164,8 @@ class Dispatcher {
   /// save stays byte-identical.
   std::atomic<std::uint64_t> last_snapshot_bytes_{0};
   std::atomic<std::uint64_t> last_snapshot_unix_{0};
-  obs::Histogram* request_micros_ = nullptr;  ///< all ops
+  /// All ops: the total of op_micros_, never recorded into directly.
+  obs::Histogram* request_micros_ = nullptr;
   /// Per-op latency, indexed by the Operation variant alternative.
   std::array<obs::Histogram*, std::variant_size_v<Operation>> op_micros_{};
 };

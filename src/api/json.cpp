@@ -76,18 +76,20 @@ struct Parser {
     ++i;
     out->clear();
     while (i < s.size()) {
+      // Copy the run up to the next quote, escape or control byte in one
+      // append.
+      const std::size_t run = i;
+      while (i < s.size() && s[i] != '"' && s[i] != '\\' &&
+             static_cast<unsigned char>(s[i]) >= 0x20)
+        ++i;
+      out->append(s, run, i - run);
+      if (i >= s.size()) break;
       const char c = s[i];
       if (c == '"') {
         ++i;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("unescaped control character in string");
-      if (c != '\\') {
-        out->push_back(c);
-        ++i;
-        continue;
-      }
+      if (c != '\\') return fail("unescaped control character in string");
       ++i;
       if (i >= s.size()) return fail("truncated escape");
       const char e = s[i++];
@@ -237,19 +239,31 @@ struct Parser {
   }
 };
 
-std::string num_str(double v) {
+}  // namespace
+
+void append_number(std::string* out, double v) {
   // JSON has no non-finite literals.  Emitting null (instead of a
   // silent 0) makes the receiving decoder reject the field with a
   // typed error, so an in-process caller who serializes e.g. an
   // infinite portfolio budget learns about it rather than having its
   // meaning inverted on the wire.
-  if (!std::isfinite(v)) return "null";
-  return analysis::format_num(v);
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
+  analysis::append_num(out, v);
 }
 
-void append_quoted(std::string* out, const std::string& s) {
+void append_string(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (const char c : s) {
+  // Bytes that need no escape are copied a run at a time.
+  std::size_t run = 0;
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const char c = s[k];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+      continue;
+    out->append(s, run, k - run);
+    run = k + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
@@ -258,26 +272,26 @@ void append_quoted(std::string* out, const std::string& s) {
       case '\t': *out += "\\t"; break;
       case '\b': *out += "\\b"; break;
       case '\f': *out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        *out += buf;
+      }
     }
   }
+  out->append(s, run, s.size() - run);
   out->push_back('"');
 }
+
+namespace {
 
 void dump_into(const Value& v, std::string* out) {
   switch (v.kind) {
     case Value::Kind::Null: *out += "null"; return;
     case Value::Kind::Bool: *out += v.boolean ? "true" : "false"; return;
-    case Value::Kind::Number: *out += num_str(v.number); return;
-    case Value::Kind::String: append_quoted(out, v.string); return;
+    case Value::Kind::Number: append_number(out, v.number); return;
+    case Value::Kind::String: append_string(out, v.string); return;
     case Value::Kind::Array: {
       out->push_back('[');
       for (std::size_t i = 0; i < v.items.size(); ++i) {
@@ -291,7 +305,7 @@ void dump_into(const Value& v, std::string* out) {
       out->push_back('{');
       for (std::size_t i = 0; i < v.members.size(); ++i) {
         if (i) out->push_back(',');
-        append_quoted(out, v.members[i].first);
+        append_string(out, v.members[i].first);
         out->push_back(':');
         dump_into(v.members[i].second, out);
       }
@@ -330,11 +344,15 @@ std::string dump(const Value& value) {
   return out;
 }
 
-std::string dump_number(double value) { return num_str(value); }
+std::string dump_number(double value) {
+  std::string out;
+  append_number(&out, value);
+  return out;
+}
 
 std::string dump_string(const std::string& value) {
   std::string out;
-  append_quoted(&out, value);
+  append_string(&out, value);
   return out;
 }
 
@@ -351,12 +369,10 @@ class Obj {
   Obj() : out_("{") {}
 
   void str(const char* key, const std::string& v) {
-    begin(key);
-    out_ += json::dump_string(v);
+    json::append_string(&member(key), v);
   }
   void num(const char* key, double v) {
-    begin(key);
-    out_ += json::dump_number(v);
+    json::append_number(&member(key), v);
   }
   void uint(const char* key, std::uint64_t v) {
     begin(key);
@@ -368,8 +384,13 @@ class Obj {
   }
   /// Pre-rendered JSON (arrays / nested objects).
   void raw(const char* key, const std::string& rendered) {
+    member(key) += rendered;
+  }
+  /// Opens member \p key and returns the buffer, for a value the caller
+  /// renders in place.
+  std::string& member(const char* key) {
     begin(key);
-    out_ += rendered;
+    return out_;
   }
 
   std::string close() {
@@ -821,17 +842,20 @@ void encode_solve_fields(Obj* o, const SolvePayload& p) {
   o->str("cache", p.cache);
   o->str("hash", hash_hex(p.hash));
   if (p.is_front) {
-    std::string pts = "[";
+    // Fronts run to hundreds of points: render them straight into the
+    // response, in Obj's member order.
+    std::string& out = o->member("points");
+    out += '[';
     for (std::size_t i = 0; i < p.points.size(); ++i) {
-      if (i) pts += ',';
-      Obj q;
-      q.num("cost", p.points[i].cost);
-      q.num("damage", p.points[i].damage);
-      q.str("attack", p.points[i].attack);
-      pts += q.close();
+      out += i ? ",{\"cost\":" : "{\"cost\":";
+      json::append_number(&out, p.points[i].cost);
+      out += ",\"damage\":";
+      json::append_number(&out, p.points[i].damage);
+      out += ",\"attack\":";
+      json::append_string(&out, p.points[i].attack);
+      out += '}';
     }
-    pts += ']';
-    o->raw("points", pts);
+    out += ']';
   } else {
     o->boolean("feasible", p.feasible);
     if (p.feasible) {

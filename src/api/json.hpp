@@ -61,6 +61,11 @@ std::string dump_number(double value);
 /// The canonical string rendering dump() uses (quotes + escapes).
 std::string dump_string(const std::string& value);
 
+/// dump_number / dump_string appended to \p out, for encoders that
+/// render into one buffer.
+void append_number(std::string* out, double value);
+void append_string(std::string* out, const std::string& value);
+
 }  // namespace atcd::api::json
 
 namespace atcd::api {

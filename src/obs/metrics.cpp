@@ -3,6 +3,7 @@
 
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,27 +14,85 @@
 namespace atcd::obs {
 
 namespace detail {
+namespace {
 
-std::size_t shard_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
+/// Which slots live threads hold.  Taken once per thread, so a mutex is
+/// cheap enough; it also orders an exited thread's last updates of its
+/// shards before the next holder's first.
+struct SlotTable {
+  std::mutex mu;
+  std::vector<bool> taken;
+
+  std::size_t acquire() {
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t i = 0; i < taken.size(); ++i)
+      if (!taken[i]) {
+        taken[i] = true;
+        return i;
+      }
+    taken.push_back(true);
+    return taken.size() - 1;
+  }
+  void release(std::size_t slot) {
+    std::lock_guard<std::mutex> lock(mu);
+    taken[slot] = false;
+  }
+};
+
+/// Never destroyed: threads may exit after static destruction began.
+SlotTable& slot_table() {
+  static SlotTable* table = new SlotTable;
+  return *table;
+}
+
+struct ThreadSlot {
+  std::size_t index = slot_table().acquire();
+  ~ThreadSlot() {
+    // Past every owned shard: an update from a later thread_local
+    // destructor goes to the shared shard, not the released one.
+    tls_slot = SIZE_MAX - 1;
+    slot_table().release(index);
+  }
+};
+
+}  // namespace
+
+constinit thread_local std::size_t tls_slot = SIZE_MAX;
+
+std::size_t assign_slot() {
+  thread_local const ThreadSlot slot;
+  tls_slot = slot.index;
+  return slot.index;
 }
 
 }  // namespace detail
 
+std::vector<const Histogram*> Histogram::sources() const {
+  std::lock_guard<std::mutex> lock(parts_mu_);
+  std::vector<const Histogram*> out = parts_;
+  out.push_back(this);
+  return out;
+}
+
+void Histogram::include(const Histogram& part) {
+  std::lock_guard<std::mutex> lock(parts_mu_);
+  if (std::find(parts_.begin(), parts_.end(), &part) == parts_.end())
+    parts_.push_back(&part);
+}
+
 std::uint64_t Histogram::count() const {
   std::uint64_t n = 0;
-  for (std::size_t i = 0; i < kShardCount; ++i)
-    n += shards_[i].count.load(std::memory_order_relaxed);
+  for (const Histogram* h : sources())
+    for (std::size_t i = 0; i <= kShardCount; ++i)
+      n += h->shards_[i].count.load(std::memory_order_relaxed);
   return n;
 }
 
 std::uint64_t Histogram::sum() const {
   std::uint64_t s = 0;
-  for (std::size_t i = 0; i < kShardCount; ++i)
-    s += shards_[i].sum.load(std::memory_order_relaxed);
+  for (const Histogram* h : sources())
+    for (std::size_t i = 0; i <= kShardCount; ++i)
+      s += h->shards_[i].sum.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -42,13 +101,14 @@ double Histogram::percentile(double q) const {
   // buckets so rank and cumulative walk agree even while writers race.
   std::vector<std::uint64_t> merged(kBuckets, 0);
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kShardCount; ++i)
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint64_t n =
-          shards_[i].buckets[b].load(std::memory_order_relaxed);
-      merged[b] += n;
-      total += n;
-    }
+  for (const Histogram* h : sources())
+    for (std::size_t i = 0; i <= kShardCount; ++i)
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        const std::uint64_t n =
+            h->shards_[i].buckets[b].load(std::memory_order_relaxed);
+        merged[b] += n;
+        total += n;
+      }
   if (total == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;

@@ -6,8 +6,8 @@
 /// Three instrument kinds cover everything the serving layers count:
 ///
 ///  * Counter   — monotonic; sharded per-thread atomics so a hot-path
-///    increment is a single relaxed fetch_add on a cacheline owned (in
-///    the steady state) by the calling thread.
+///    increment touches only a cacheline the calling thread owns, with a
+///    plain relaxed load and store (see detail::shard_slot).
 ///  * Gauge     — a settable level (resident cache entries/bytes, open
 ///    sessions).  Derived gauges are *refreshed at exposition time*
 ///    from their source of truth rather than updated on every mutation,
@@ -17,7 +17,9 @@
 ///    exact-rank p50/p95/p99 extraction.  Buckets are log-spaced with 8
 ///    sub-buckets per octave (values < 8 are exact), so relative bucket
 ///    error is <= 12.5% at any magnitude while the whole table stays a
-///    few KB.  Recording is three relaxed adds; percentile extraction
+///    few KB.  Recording is three relaxed updates of the calling
+///    thread's shard; an aggregate can include() other histograms
+///    instead of being recorded into.  Percentile extraction
 ///    merges the shards and walks the cumulative counts, returning the
 ///    bucket's inclusive upper edge — deterministic for a given
 ///    recorded multiset, no interpolation.
@@ -44,26 +46,52 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace atcd::obs {
 
 namespace detail {
-/// Small dense per-thread index (assigned round-robin on first use);
-/// instruments fold it onto their shard count.  Distinct long-lived
-/// threads land on distinct shards until the shard count is exceeded.
-std::size_t shard_slot();
+/// The calling thread's slot (see shard_slot); SIZE_MAX until its first
+/// instrument update.  Plain data, so the hot path is one TLS load.
+extern thread_local constinit std::size_t tls_slot;
+/// Takes the lowest free slot for the calling thread and arranges its
+/// release at thread exit.
+std::size_t assign_slot();
+
+/// The calling thread's small dense index.  Live threads hold distinct
+/// slots, lowest free first; a thread's slot is freed when it exits.
+/// An instrument with N owned shards gives a thread with slot < N shard
+/// `slot` to itself alone, so its updates there are a relaxed load and
+/// store: no locked read-modify-write, which would drain the store
+/// buffer on every request.  Threads with higher slots share the
+/// instrument's one extra shard through fetch_add.
+inline std::size_t shard_slot() {
+  const std::size_t slot = tls_slot;
+  return slot != SIZE_MAX ? slot : assign_slot();
+}
+
+/// Adds \p n to \p cell; \p owned = only the calling thread writes it.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n,
+                 bool owned) {
+  if (owned)
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  else
+    cell.fetch_add(n, std::memory_order_relaxed);
+}
 }  // namespace detail
 
-/// Monotonic counter.  add() is wait-free: one relaxed fetch_add on the
+/// Monotonic counter.  add() is wait-free: one relaxed update of the
 /// calling thread's shard.  value() merges the shards (a racing add may
 /// or may not be included — the usual snapshot semantics).
 class Counter {
  public:
-  static constexpr std::size_t kShards = 16;  // power of two
+  static constexpr std::size_t kShards = 16;  ///< owned shards
 
   void add(std::uint64_t n = 1) {
-    shards_[detail::shard_slot() & (kShards - 1)].v.fetch_add(
-        n, std::memory_order_relaxed);
+    const std::size_t slot = detail::shard_slot();
+    const bool owned = slot < kShards;
+    detail::bump(shards_[owned ? slot : kShards].v, n, owned);
   }
 
   std::uint64_t value() const {
@@ -76,7 +104,7 @@ class Counter {
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> v{0};
   };
-  Shard shards_[kShards];
+  Shard shards_[kShards + 1];  ///< the owned ones, then the shared one
 };
 
 /// Settable level.  Last set wins; no sharding (gauges are written at
@@ -103,14 +131,22 @@ class Histogram {
   static constexpr std::size_t kBuckets = kSub + (64 - kSubBits) * kSub;
 
   void record(std::uint64_t v) {
-    Shard& s = shards_[detail::shard_slot() & (kShardCount - 1)];
-    s.buckets[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
+    const std::size_t slot = detail::shard_slot();
+    const bool owned = slot < kShardCount;
+    Shard& s = shards_[owned ? slot : kShardCount];
+    detail::bump(s.buckets[bucket_of(v)], 1, owned);
+    detail::bump(s.count, 1, owned);
+    detail::bump(s.sum, v, owned);
   }
 
   std::uint64_t count() const;
   std::uint64_t sum() const;
+
+  /// Makes this histogram also report \p part's samples: count(), sum()
+  /// and percentile() read both.  For a total over histograms that are
+  /// recorded instead of it, so a sample is recorded once, not once per
+  /// view.  Including the same part again is a no-op.
+  void include(const Histogram& part);
 
   /// Exact-rank quantile over the merged buckets: the value returned is
   /// the inclusive upper edge of the bucket containing the ceil(q*n)-th
@@ -137,16 +173,21 @@ class Histogram {
   }
 
  private:
-  static constexpr std::size_t kShardCount = 4;  // power of two
+  static constexpr std::size_t kShardCount = 4;  ///< owned shards
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> buckets[kBuckets] = {};
   };
   // ~4 KB per shard; heap-allocated so a Histogram member doesn't blow
-  // up its owner's footprint.
+  // up its owner's footprint.  The owned shards, then the shared one.
   std::unique_ptr<Shard[]> shards_ =
-      std::unique_ptr<Shard[]>(new Shard[kShardCount]);
+      std::unique_ptr<Shard[]>(new Shard[kShardCount + 1]);
+
+  /// This histogram and its included parts.
+  std::vector<const Histogram*> sources() const;
+  mutable std::mutex parts_mu_;
+  std::vector<const Histogram*> parts_;  ///< guarded by parts_mu_
 };
 
 /// Name -> instrument home.  get-or-create under a mutex; returned

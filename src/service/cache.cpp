@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "service/hash_mix.hpp"
@@ -48,6 +50,37 @@ std::size_t entry_bytes(const CacheKey& key, const CdAt* det,
   return b;
 }
 
+std::size_t approx_bytes(const ResultCache::ExactAlias& a) {
+  // The alias, its strings, and its index node plus shared_ptr control
+  // block (about four pointers).
+  std::size_t b = sizeof(ResultCache::ExactAlias) + a.key.backend.size() +
+                  a.text.size() + 4 * sizeof(void*);
+  for (const std::string& w : a.witnesses) b += sizeof(std::string) + w.size();
+  return b;
+}
+
+/// Whether two results agree on everything but their witnesses.
+bool same_values(const engine::SolveResult& a, const engine::SolveResult& b) {
+  if (a.ok != b.ok || a.backend != b.backend ||
+      a.attack.feasible != b.attack.feasible || a.attack.cost != b.attack.cost ||
+      a.attack.damage != b.attack.damage || a.front.size() != b.front.size())
+    return false;
+  for (std::size_t i = 0; i < a.front.size(); ++i)
+    if (!(a.front[i].value == b.front[i].value)) return false;
+  return true;
+}
+
+/// Digest of an exact-alias probe: the key's problem, normalized bound
+/// and backend, and the model text's bytes.  The model hash is not in
+/// it — a probe does not know it.
+std::uint64_t exact_hash(engine::Problem problem, double bound,
+                         const std::string& backend, std::string_view text) {
+  std::uint64_t h = mix64(0xE8AC7ull, std::hash<std::string_view>{}(text));
+  h = mix64(h, static_cast<std::uint64_t>(problem));
+  h = mix64(h, double_bits(bound));
+  return mix64(h, std::hash<std::string_view>{}(backend));
+}
+
 }  // namespace
 
 std::size_t hash_of(const CacheKey& key) {
@@ -67,7 +100,7 @@ std::optional<CacheKey> make_key(const engine::Instance& in) {
                   ? model_fingerprint(*in.prob)
                   : model_fingerprint(*in.det);
   key.problem = in.problem;
-  key.bound = engine::is_front(in.problem) ? 0.0 : in.bound;
+  key.bound = key_bound(in.problem, in.bound);
   key.backend = in.backend;
   return key;
 }
@@ -112,8 +145,11 @@ ResultCache::ResultCache(Config config) : config_(config) {
       std::max<std::size_t>(1, (config_.max_bytes + config_.shards - 1) /
                                    config_.shards);
   shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i)
+  stripes_.reserve(config_.shards);
+  for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    stripes_.push_back(std::make_unique<AliasStripe>());
+  }
   obs::Registry* reg = config_.metrics;
   if (!reg) {
     owned_metrics_ = std::make_unique<obs::Registry>();
@@ -124,6 +160,7 @@ ResultCache::ResultCache(Config config) : config_(config) {
   insertions_ = &reg->counter("atcd_result_cache_insertions_total");
   evictions_ = &reg->counter("atcd_result_cache_evictions_total");
   collisions_ = &reg->counter("atcd_result_cache_collisions_total");
+  exact_hits_ = &reg->counter("atcd_result_cache_exact_hits_total");
 }
 
 std::size_t ResultCache::shard_index(const CacheKey& key) const {
@@ -219,17 +256,104 @@ void ResultCache::insert(const CacheKey& key, std::shared_ptr<const CdAt> det,
   }
   shard.lru.push_front(
       Entry{key, std::move(det), std::move(prob),
-            std::make_shared<engine::SolveResult>(result), bytes});
+            std::make_shared<engine::SolveResult>(result), {}, bytes});
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
   insertions_->add(1);
   evict_to_budget(shard);
 }
 
+ResultCache::AliasStripe& ResultCache::stripe_of(
+    std::uint64_t alias_hash) const {
+  return *stripes_[alias_hash % stripes_.size()];
+}
+
+std::shared_ptr<const ResultCache::ExactAlias> ResultCache::lookup_exact(
+    engine::Problem problem, double bound, const std::string& backend,
+    const std::string& text) {
+  // Keys with a non-finite bound are never cached (see make_key).
+  if (!engine::is_front(problem) && !std::isfinite(bound)) return nullptr;
+  bound = key_bound(problem, bound);
+  const std::uint64_t h = exact_hash(problem, bound, backend, text);
+  std::shared_ptr<const ExactAlias> alias;
+  {
+    AliasStripe& stripe = stripe_of(h);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    const auto it = stripe.index.find(h);
+    if (it == stripe.index.end()) return nullptr;
+    alias = it->second;
+  }
+  // The alias is immutable, so the byte comparison runs unlocked.  Equal
+  // digests of different probes (a digest collision) fall through to the
+  // canonical path.
+  if (alias->key.problem != problem || alias->key.bound != bound ||
+      alias->key.backend != backend || alias->text != text)
+    return nullptr;
+  {
+    // Refresh recency as a canonical hit would.  The entry may have been
+    // evicted since the index read; the alias is self-contained, so it
+    // is still served.
+    Shard& shard = *shards_[shard_index(alias->key)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it = shard.index.find(alias->key);
+    if (it != shard.index.end())
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  }
+  hits_->add(1);
+  exact_hits_->add(1);
+  obs::trace_fact("result_cache_hits", 1);
+  obs::trace_fact("result_cache_exact_hits", 1);
+  return alias;
+}
+
+void ResultCache::attach_exact(const CacheKey& key, const std::string& text,
+                               const engine::SolveResult& served,
+                               std::vector<std::string> witnesses) {
+  auto alias = std::make_shared<ExactAlias>();
+  alias->hash = exact_hash(key.problem, key.bound, key.backend, text);
+  alias->key = key;
+  alias->text = text;
+  alias->witnesses = std::move(witnesses);
+  const std::size_t bytes = approx_bytes(*alias);
+  Shard& shard = *shards_[shard_index(key)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return;
+  Entry& e = *it->second;
+  // The entry must still hold the values the hit served: it may have
+  // been evicted and re-solved since, with another optimal witness.
+  if (e.aliases.size() >= kMaxAliasesPerEntry ||
+      e.bytes + bytes > byte_budget_per_shard_ ||
+      !same_values(*e.result, served))
+    return;
+  alias->result = e.result;
+  {
+    AliasStripe& stripe = stripe_of(alias->hash);
+    std::lock_guard<std::mutex> stripe_lock(stripe.mu);
+    // An occupied slot is this text attached under another key or a
+    // digest collision; either way the incumbent stays.
+    if (!stripe.index.emplace(alias->hash, alias).second) return;
+  }
+  e.aliases.push_back(std::move(alias));
+  e.bytes += bytes;
+  shard.bytes += bytes;
+  evict_to_budget(shard);
+}
+
+void ResultCache::drop_aliases(const Entry& e) {
+  for (const auto& a : e.aliases) {
+    AliasStripe& stripe = stripe_of(a->hash);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    const auto it = stripe.index.find(a->hash);
+    if (it != stripe.index.end() && it->second == a) stripe.index.erase(it);
+  }
+}
+
 void ResultCache::evict_to_budget(Shard& shard) {
   while (!shard.lru.empty() && (shard.lru.size() > entry_budget_per_shard_ ||
                                 shard.bytes > byte_budget_per_shard_)) {
     const Entry& victim = shard.lru.back();
+    drop_aliases(victim);
     shard.bytes -= victim.bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
@@ -291,6 +415,7 @@ ResultCache::Stats ResultCache::stats() const {
 void ResultCache::clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
+    for (const Entry& e : shard->lru) drop_aliases(e);
     shard->lru.clear();
     shard->index.clear();
     shard->bytes = 0;

@@ -23,12 +23,25 @@
 /// ResultCache also implements engine::SolveCache, so it can be attached
 /// to engine::BatchOptions::cache and transparently memoize
 /// solve_one()/solve_all() calls.
+///
+/// Exact-bytes aliases.  A canonical hit pays for parsing the model
+/// text, hashing it, the isomorphism deep check, and (in the API layer)
+/// rendering the witnesses.  After such a hit the caller may attach an
+/// ExactAlias to the entry: the request's model text, verbatim, plus the
+/// witnesses already rendered in that text's BAS indexing.  A later
+/// request with byte-identical text and equal (problem, normalized
+/// bound, backend) is then answered by lookup_exact() from a hash of the
+/// text, confirmed by byte equality — never by parsing.  Aliases are
+/// derived state: they are charged to their entry's bytes (and so to the
+/// shard's byte budget), dropped with the entry on eviction or clear(),
+/// never attached on a miss or insert, and never exported to snapshots.
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +68,12 @@ std::size_t hash_of(const CacheKey& key);
 struct CacheKeyHasher {
   std::size_t operator()(const CacheKey& key) const { return hash_of(key); }
 };
+
+/// The bound component of a key: 0 for the front problems (they ignore
+/// the bound), the bound itself otherwise.
+inline double key_bound(engine::Problem problem, double bound) {
+  return engine::is_front(problem) ? 0.0 : bound;
+}
 
 /// Builds the key for an instance: computes the canonical model hash and
 /// normalizes the bound.  Returns nullopt when the instance's model/
@@ -85,6 +104,27 @@ class ResultCache final : public engine::SolveCache {
     /// isolated; the service injects its own so all layers share one.
     obs::Registry* metrics = nullptr;
   };
+
+  /// Derived per-text state of an entry; see the file comment.
+  /// Immutable once published by attach_exact().
+  struct ExactAlias {
+    std::uint64_t hash = 0;  ///< digest of (key problem/bound/backend, text)
+    CacheKey key;            ///< the owning entry's key
+    std::string text;        ///< the model text, compared byte for byte
+    /// The owning entry's result.  Only its values, order and backend
+    /// are served from here: remapping a hit into this text's BAS
+    /// indexing changes nothing but the witnesses, and those are
+    /// carried below, already rendered.
+    std::shared_ptr<const engine::SolveResult> result;
+    /// Rendered witnesses in the text's BAS indexing: one per front
+    /// point for the front problems, else one for a feasible attack.
+    std::vector<std::string> witnesses;
+  };
+
+  /// At most this many aliases per entry (a model resubmitted under
+  /// many spellings keeps the first few); later spellings stay on the
+  /// canonical path.
+  static constexpr std::size_t kMaxAliasesPerEntry = 8;
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -120,6 +160,29 @@ class ResultCache final : public engine::SolveCache {
   void insert(const CacheKey& key, std::shared_ptr<const CdAt> det,
               std::shared_ptr<const CdpAt> prob,
               const engine::SolveResult& result);
+
+  // -- Exact-bytes aliases (see the file comment). ------------------------
+
+  /// The alias whose text is byte-identical to \p text under the same
+  /// problem, bound (normalized as in make_key) and backend, or null.
+  /// A non-null return counts as a hit (and an exact hit) and refreshes
+  /// the entry's recency; a null return counts nothing — the caller's
+  /// canonical lookup counts that request.
+  std::shared_ptr<const ExactAlias> lookup_exact(engine::Problem problem,
+                                                 double bound,
+                                                 const std::string& backend,
+                                                 const std::string& text);
+
+  /// Attaches an alias for \p text to the resident entry under \p key.
+  /// Call only after a canonical hit on \p key for that text, with the
+  /// result it \p served and that result's \p witnesses rendered in the
+  /// text's BAS indexing.  A no-op when the entry is gone or no longer
+  /// holds the served values, already holds kMaxAliasesPerEntry aliases
+  /// or one for this text, or the alias would not fit the shard's byte
+  /// budget.
+  void attach_exact(const CacheKey& key, const std::string& text,
+                    const engine::SolveResult& served,
+                    std::vector<std::string> witnesses);
 
   // -- engine::SolveCache hook (computes the hash per call). -------------
 
@@ -160,7 +223,8 @@ class ResultCache final : public engine::SolveCache {
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
     std::shared_ptr<const engine::SolveResult> result;
-    std::size_t bytes = 0;
+    std::vector<std::shared_ptr<const ExactAlias>> aliases;
+    std::size_t bytes = 0;  ///< includes the aliases
   };
 
   struct Shard {
@@ -171,14 +235,28 @@ class ResultCache final : public engine::SolveCache {
     std::size_t bytes = 0;  ///< resident bytes; guarded by mu
   };
 
+  /// The exact-alias index, striped by alias hash independently of the
+  /// entry shards (a probe cannot know the canonical key).  Lock order:
+  /// an entry shard, then a stripe — never the reverse.
+  struct AliasStripe {
+    std::mutex mu;
+    std::unordered_map<std::uint64_t, std::shared_ptr<const ExactAlias>>
+        index;
+  };
+
   /// Drops LRU-tail entries until the shard is within both budgets.
   /// Caller holds the shard lock.
   void evict_to_budget(Shard& shard);
+  /// Unpublishes \p e's aliases from the index.  Caller holds e's shard
+  /// lock.
+  void drop_aliases(const Entry& e);
+  AliasStripe& stripe_of(std::uint64_t alias_hash) const;
 
   Config config_;
   std::size_t entry_budget_per_shard_;
   std::size_t byte_budget_per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<AliasStripe>> stripes_;
 
   // Registry-backed counters (see Config::metrics); resolved once at
   // construction so hot-path counting is a single sharded relaxed add.
@@ -188,6 +266,7 @@ class ResultCache final : public engine::SolveCache {
   obs::Counter* insertions_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Counter* collisions_ = nullptr;
+  obs::Counter* exact_hits_ = nullptr;
 };
 
 }  // namespace atcd::service

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -114,6 +117,47 @@ TEST(Analysis, ParsesAxisSpecs) {
   EXPECT_FALSE(analysis::parse_axis("cost:ca:x:5:6", &err));
   EXPECT_FALSE(analysis::parse_axis("cost:ca", &err));
   EXPECT_FALSE(analysis::parse_axis("defense:a:b", &err));
+}
+
+/// The printf/strtod rendering format_num must reproduce byte for byte.
+std::string reference_format_num(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  if (std::strtod(buf, nullptr) != v)
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(Analysis, FormatNumMatchesThePrintfReference) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double edge[] = {0.0,    -0.0,    1.0,     -1.0,    0.1,    0.2,
+                         0.3,    1.0 / 3, 2.0 / 3, 1e15,    1e16,   1e17,
+                         1e21,   1e22,    1e-4,    1e-5,    5e-324, kDenorm,
+                         kMin,   kMax,    -kMax,   1e308,   123456789012345.0,
+                         1234567890123456.0,       12345678901234567.0,
+                         9007199254740993.0,       0.1 + 0.2,
+                         std::nextafter(1.0, 2.0), std::nextafter(kMin, 0.0),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double v : edge)
+    EXPECT_EQ(analysis::format_num(v), reference_format_num(v)) << v;
+
+  Rng rng(31);
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns cover every exponent; short decimals and small
+    // integers are what models actually carry.
+    double v = std::bit_cast<double>(rng.next());
+    if (std::isnan(v)) continue;
+    if (i % 3 == 1) v = std::round(rng.uniform(-1e6, 1e6) * 100.0) / 100.0;
+    if (i % 3 == 2) v = static_cast<double>(rng.below(1u << 20));
+    ASSERT_EQ(analysis::format_num(v), reference_format_num(v)) << v;
+  }
+
+  std::string out = "x=";
+  analysis::append_num(&out, 2.5);
+  EXPECT_EQ(out, "x=2.5");
 }
 
 TEST(Analysis, ParsesCountermeasureSpecs) {

@@ -11,17 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/dispatcher.hpp"
 #include "api/json.hpp"
 #include "api/line.hpp"
 #include "api/server.hpp"
+#include "persist/snapshot.hpp"
 #include "service/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -119,6 +122,32 @@ TEST(Json, RejectsMalformedDocuments) {
   json::Value v;
   std::string err;
   EXPECT_FALSE(json::parse(deep, &v, &err));
+}
+
+TEST(Json, StringRunsAndEscapesDecodeExactly) {
+  // Long unescaped runs between escapes, as in a model text.
+  const std::string ms(300, 'm'), ns(200, 'n');
+  const std::string doc = "\"" + ms + "\\n" + ns + "\\t\\u00e9\\\"\\\\\"";
+  json::Value v;
+  std::string err;
+  ASSERT_TRUE(json::parse(doc, &v, &err)) << err;
+  EXPECT_EQ(v.string, ms + "\n" + ns + "\t\xC3\xA9\"\\");
+  EXPECT_EQ(json::dump(v), "\"" + ms + "\\n" + ns + "\\t\xC3\xA9\\\"\\\\\"");
+  ASSERT_TRUE(json::parse("\"\"", &v, &err)) << err;
+  EXPECT_EQ(v.string, "");
+
+  // Rejections name the same byte as before runs were copied in bulk.
+  const std::pair<const char*, const char*> bad[] = {
+      {"\"ab\x01" "c\"", "unescaped control character in string at byte 3"},
+      {"\"abc", "unterminated string at byte 4"},
+      {"\"a\\", "truncated escape at byte 3"},
+      {"\"a\\x\"", "unknown escape at byte 4"},
+      {"\"a\\ud800\"", "lone high surrogate at byte 8"},
+  };
+  for (const auto& [text, message] : bad) {
+    EXPECT_FALSE(json::parse(text, &v, &err)) << text;
+    EXPECT_EQ(err, message) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -942,6 +971,239 @@ TEST(Batch, ItemsAreIndexAlignedAndFailIndependently) {
     EXPECT_EQ(encode_response(as_item, false),
               encode_response(single, false));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-bytes hits: a model text that already hit canonically is served
+// from its cache alias, without parsing, with the same response bytes.
+// ---------------------------------------------------------------------------
+
+Request solve_of(engine::Problem problem, const std::string& model,
+                 double bound = 0.0) {
+  Request r;
+  r.op = SolveRequest{
+      {problem, bound, !engine::is_front(problem), "", model}};
+  return r;
+}
+
+std::uint64_t exact_hits(const Dispatcher& d) {
+  return d.metrics().counter("atcd_result_cache_exact_hits_total").value();
+}
+
+/// kDetModel renamed, with BAS and children listed in another order.
+const char* kDetRenamed =
+    "bas y cost=4 damage=1\n"
+    "bas x cost=1 damage=2\n"
+    "or top = y, x damage=10\n";
+
+/// Interchangeable leaves: the witness rendering depends on which leaf
+/// the isomorphism maps where.
+const char* kSymmetric =
+    "bas s cost=2 damage=3\n"
+    "bas t cost=2 damage=3\n"
+    "bas u cost=2 damage=3\n"
+    "and g = t, s\n"
+    "or r = u, g damage=1\n";
+const char* kSymmetricRenamed =
+    "bas u2 cost=2 damage=3\n"
+    "bas s2 cost=2 damage=3\n"
+    "bas t2 cost=2 damage=3\n"
+    "and g2 = s2, u2\n"
+    "or r2 = g2, t2 damage=1\n";
+
+TEST(ExactHit, EncodesLikeTheCanonicalHit) {
+  const std::pair<const char*, const char*> families[] = {
+      {kDetModel, kDetRenamed}, {kSymmetric, kSymmetricRenamed}};
+  for (const auto& [original, renamed] : families) {
+    for (const auto& [problem, bound] :
+         {std::pair{engine::Problem::Cdpf, 0.0},
+          std::pair{engine::Problem::Dgc, 2.0},
+          std::pair{engine::Problem::Cgd, 3.0}}) {
+      Dispatcher d;
+      ASSERT_EQ(d.dispatch(solve_of(problem, original, bound)).code,
+                ErrorCode::Ok);
+      for (const char* text : {original, renamed}) {
+        const std::uint64_t before = exact_hits(d);
+        const Response canonical = d.dispatch(solve_of(problem, text, bound));
+        ASSERT_EQ(canonical.code, ErrorCode::Ok) << canonical.error;
+        EXPECT_EQ(exact_hits(d), before) << "first sight is canonical";
+        EXPECT_EQ(std::get<SolvePayload>(canonical.payload).cache, "hit");
+        const Response exact = d.dispatch(solve_of(problem, text, bound));
+        EXPECT_EQ(exact_hits(d), before + 1) << text;
+        EXPECT_EQ(encode_response(exact, false),
+                  encode_response(canonical, false))
+            << text;
+      }
+    }
+  }
+}
+
+TEST(ExactHit, TextsOneByteApartTakeTheCanonicalPath) {
+  Dispatcher d;
+  const std::string text = kDetModel;
+  ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Dgc, text, 5.0)).code,
+            ErrorCode::Ok);
+  ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Dgc, text, 5.0)).code,
+            ErrorCode::Ok);
+  ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Dgc, text, 5.0)).code,
+            ErrorCode::Ok);
+  ASSERT_EQ(exact_hits(d), 1u);
+
+  // Same model, one more space: a canonical hit, not an exact one.
+  std::string spaced = text;
+  spaced.insert(spaced.find(" damage=2"), " ");
+  const Response ws = d.dispatch(solve_of(engine::Problem::Dgc, spaced, 5.0));
+  ASSERT_EQ(ws.code, ErrorCode::Ok) << ws.error;
+  EXPECT_EQ(std::get<SolvePayload>(ws.payload).cache, "hit");
+  // One cost digit changed: another model, a miss.
+  std::string digit = text;
+  digit[digit.find("cost=4") + 5] = '3';
+  const Response cd = d.dispatch(solve_of(engine::Problem::Dgc, digit, 5.0));
+  ASSERT_EQ(cd.code, ErrorCode::Ok) << cd.error;
+  EXPECT_EQ(std::get<SolvePayload>(cd.payload).cache, "miss");
+  // Same text, another bound: that key was never hit.
+  const Response other =
+      d.dispatch(solve_of(engine::Problem::Dgc, text, 4.0));
+  EXPECT_EQ(std::get<SolvePayload>(other.payload).cache, "miss");
+  EXPECT_EQ(exact_hits(d), 1u);
+}
+
+TEST(ExactHit, CountsAsAResultCacheHitEverywhere) {
+  Dispatcher d;
+  for (int i = 0; i < 2; ++i)
+    ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Cdpf, kDetModel)).code,
+              ErrorCode::Ok);
+  const auto before = d.stats().cache;
+
+  Request traced = solve_of(engine::Problem::Cdpf, kDetModel);
+  traced.trace = true;
+  const Response r = d.dispatch(traced);
+  ASSERT_EQ(r.code, ErrorCode::Ok);
+  EXPECT_EQ(std::get<SolvePayload>(r.payload).cache, "hit");
+  ASSERT_TRUE(r.trace.has_value());
+  std::map<std::string, std::uint64_t> facts(r.trace->facts.begin(),
+                                             r.trace->facts.end());
+  EXPECT_EQ(facts["result_cache_hits"], 1u);
+  EXPECT_EQ(facts["result_cache_exact_hits"], 1u);
+  EXPECT_EQ(facts.count("result_cache_misses"), 0u);
+  for (const auto& span : r.trace->spans)
+    EXPECT_NE(span.name, "service.parse") << "an exact hit never parses";
+
+  const auto after = d.stats().cache;
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(exact_hits(d), 1u);
+  Request metrics;
+  metrics.op = MetricsRequest{};
+  const Response mr = d.dispatch(metrics);
+  const auto& m = std::get<MetricsPayload>(mr.payload);
+  EXPECT_NE(m.json.find("\"atcd_result_cache_exact_hits_total\":1"),
+            std::string::npos);
+  EXPECT_NE(m.json.find("\"atcd_result_cache_hits_total\":2"),
+            std::string::npos);
+
+  // Batch items take the same path.
+  Request batch;
+  batch.op = BatchRequest{
+      {{engine::Problem::Cdpf, 0.0, false, "", kDetModel}}, 1};
+  const Response b = d.dispatch(batch);
+  ASSERT_EQ(b.code, ErrorCode::Ok);
+  EXPECT_EQ(std::get<BatchPayload>(b.payload).items[0].solve.cache, "hit");
+  EXPECT_EQ(exact_hits(d), 2u);
+}
+
+TEST(ExactHit, SnapshotsStayByteIdenticalWhileAliasesAreResident) {
+  Dispatcher d;
+  service::SolveService plain;  // the same entries, never aliased
+  for (const char* text : {kDetModel, kDetRenamed, kSymmetric}) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Cdpf, text)).code,
+                ErrorCode::Ok);
+      ASSERT_TRUE(plain
+                      .handle(service::Request::of_text(
+                          engine::Problem::Cdpf, text))
+                      .result.ok);
+    }
+  }
+  // Original and symmetric: miss, canonical, exact; renamed: canonical
+  // (its model is resident), exact, exact.
+  ASSERT_EQ(exact_hits(d), 4u);
+  const std::string saved = persist::encode_snapshot(
+      d.service().cache(), d.service().subtree_cache());
+  EXPECT_EQ(saved, persist::encode_snapshot(plain.cache(),
+                                            plain.subtree_cache()))
+      << "aliases must not reach the snapshot";
+
+  Dispatcher loaded;
+  ASSERT_EQ(persist::decode_snapshot(saved, &loaded.service().cache(),
+                                     &loaded.service().subtree_cache()),
+            persist::LoadStatus::Ok);
+  EXPECT_EQ(persist::encode_snapshot(loaded.service().cache(),
+                                     loaded.service().subtree_cache()),
+            saved);
+  // Aliases are rebuilt from use: the first request after a load is a
+  // canonical hit, the second an exact one.
+  const Response first = loaded.dispatch(solve_of(engine::Problem::Cdpf,
+                                                  kDetModel));
+  EXPECT_EQ(std::get<SolvePayload>(first.payload).cache, "hit");
+  EXPECT_EQ(exact_hits(loaded), 0u);
+  (void)loaded.dispatch(solve_of(engine::Problem::Cdpf, kDetModel));
+  EXPECT_EQ(exact_hits(loaded), 1u);
+  EXPECT_EQ(persist::encode_snapshot(loaded.service().cache(),
+                                     loaded.service().subtree_cache()),
+            saved);
+}
+
+TEST(ExactHit, ConcurrentHitsInsertsAndEvictionsServeCanonicalBytes) {
+  // A cache of 4 entries under 24 keys: exact hits, alias attaches,
+  // inserts and evictions interleave on every shard.
+  std::vector<Request> requests;
+  for (int m = 0; m < 6; ++m) {
+    std::ostringstream model, renamed;
+    model << "bas a cost=" << (m + 1) << " damage=2\nbas b cost=4 damage="
+          << (m + 1) << "\nor r = a, b damage=10\n";
+    renamed << "bas q cost=4 damage=" << (m + 1) << "\nbas p cost="
+            << (m + 1) << " damage=2\nor z = q, p damage=10\n";
+    for (const std::string& text : {model.str(), renamed.str()}) {
+      requests.push_back(solve_of(engine::Problem::Cdpf, text));
+      requests.push_back(solve_of(engine::Problem::Dgc, text, 4.0));
+    }
+  }
+  // Reference bytes with the scheduling-dependent disposition blanked.
+  const auto blanked = [](Response r) {
+    if (auto* p = std::get_if<SolvePayload>(&r.payload)) p->cache.clear();
+    return encode_response(r, false);
+  };
+  std::vector<std::string> expected;
+  {
+    Dispatcher ref;
+    for (const Request& r : requests) expected.push_back(blanked(ref.dispatch(r)));
+  }
+
+  Dispatcher::Options opt;
+  opt.service.cache.shards = 2;
+  opt.service.cache.max_entries = 4;
+  Dispatcher d(std::move(opt));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(100 + t));
+      for (int i = 0; i < kRounds; ++i) {
+        // Mostly a small hot set (exact hits), sometimes the rest
+        // (inserts that evict it).
+        const std::size_t k = rng.chance(0.7) ? rng.below(4)
+                                              : rng.below(requests.size());
+        if (blanked(d.dispatch(requests[k])) != expected[k]) ++wrong;
+      }
+    });
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(exact_hits(d), 0u);
+  EXPECT_GT(d.stats().cache.evictions, 0u);
+  EXPECT_LE(d.stats().cache.entries, 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "casestudies/factory.hpp"
 #include "gen/random_at.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "service/cache.hpp"
 #include "service/canon.hpp"
 #include "service/protocol.hpp"
@@ -571,6 +572,147 @@ TEST(Service, InstanceModelMismatchIsAClearError) {
   EXPECT_FALSE(resp.result.ok);
   EXPECT_NE(resp.result.error.find("lacks a probabilistic model"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-bytes aliases.
+// ---------------------------------------------------------------------------
+
+/// A service whose cache counters land in \p reg, with kBase resident
+/// under (dgc, bound 4) and one canonical hit on it in \p hit.
+struct AliasStack {
+  explicit AliasStack(ResultCache::Config cfg = {}) : svc(options(cfg)) {
+    EXPECT_TRUE(svc.handle(Request::of_text(Problem::Dgc, kBase, 4.0))
+                    .result.ok);
+    hit = svc.handle(Request::of_text(Problem::Dgc, kBase, 4.0));
+    EXPECT_TRUE(hit.cache_hit);
+    key = CacheKey{hit.model_hash, Problem::Dgc, 4.0, ""};
+  }
+  SolveService::Options options(ResultCache::Config cfg) {
+    SolveService::Options opt;
+    opt.cache = cfg;
+    opt.metrics = &reg;
+    return opt;
+  }
+  std::uint64_t count(const char* name) { return reg.counter(name).value(); }
+
+  obs::Registry reg;
+  SolveService svc;
+  Response hit;
+  CacheKey key;
+};
+
+TEST(ExactAlias, ServesOnlyByteIdenticalProbesAndCountsThemAsHits) {
+  AliasStack st;
+  ResultCache& cache = st.svc.cache();
+  const std::size_t bytes = cache.stats().bytes;
+  const std::uint64_t hits = st.count("atcd_result_cache_hits_total");
+  const std::uint64_t misses = st.count("atcd_result_cache_misses_total");
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.0, "", kBase))
+      << "a canonical hit alone attaches nothing";
+
+  cache.attach_exact(st.key, kBase, st.hit.result, {"{a, b}"});
+  EXPECT_GT(cache.stats().bytes, bytes) << "alias bytes are charged";
+  const auto alias = cache.lookup_exact(Problem::Dgc, 4.0, "", kBase);
+  ASSERT_TRUE(alias);
+  EXPECT_EQ(alias->text, kBase);
+  EXPECT_EQ(alias->key, st.key);
+  EXPECT_EQ(alias->witnesses, std::vector<std::string>{"{a, b}"});
+  EXPECT_EQ(alias->result->attack.cost, st.hit.result.attack.cost);
+  EXPECT_EQ(alias->result->attack.damage, st.hit.result.attack.damage);
+
+  // Any other byte, or any other key component, is not an exact hit.
+  std::string digit = kBase;
+  digit[digit.find("cost=3")] = 'C';
+  for (const std::string& other :
+       {std::string(kBase) + " ", std::string(" ") + kBase, digit})
+    EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.0, "", other));
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.5, "", kBase));
+  EXPECT_FALSE(cache.lookup_exact(Problem::Cgd, 4.0, "", kBase));
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.0, "bottom-up", kBase));
+  EXPECT_FALSE(cache.lookup_exact(
+      Problem::Dgc, std::numeric_limits<double>::infinity(), "", kBase));
+
+  // The one served probe is a hit and an exact hit; misses never move.
+  EXPECT_EQ(st.count("atcd_result_cache_hits_total"), hits + 1);
+  EXPECT_EQ(st.count("atcd_result_cache_exact_hits_total"), 1u);
+  EXPECT_EQ(st.count("atcd_result_cache_misses_total"), misses);
+  EXPECT_EQ(cache.stats().hits, hits + 1);
+}
+
+TEST(ExactAlias, FrontProblemsIgnoreTheBoundLikeTheKey) {
+  SolveService svc;
+  ASSERT_TRUE(svc.handle(Request::of_text(Problem::Cdpf, kBase)).result.ok);
+  const Response b = svc.handle(Request::of_text(Problem::Cdpf, kBase));
+  ASSERT_TRUE(b.cache_hit);
+  svc.cache().attach_exact({b.model_hash, Problem::Cdpf, 0.0, ""}, kBase,
+                           b.result,
+                           std::vector<std::string>(b.result.front.size()));
+  EXPECT_TRUE(svc.cache().lookup_exact(Problem::Cdpf, 7.0, "", kBase));
+  EXPECT_TRUE(svc.cache().lookup_exact(Problem::Cdpf, -0.0, "", kBase));
+}
+
+TEST(ExactAlias, AttachRefusesStaleMissingAndSurplusAliases) {
+  AliasStack st;
+  ResultCache& cache = st.svc.cache();
+  // Values other than the entry's (as if it was re-solved meanwhile).
+  engine::SolveResult stale = st.hit.result;
+  stale.attack.cost += 1.0;
+  cache.attach_exact(st.key, kBase, stale, {"{a, b}"});
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.0, "", kBase));
+  // No entry under the key.
+  CacheKey absent = st.key;
+  absent.bound = 9.0;
+  cache.attach_exact(absent, kBase, st.hit.result, {"{a, b}"});
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 9.0, "", kBase));
+  // At most kMaxAliasesPerEntry spellings per entry.
+  const std::size_t cap = ResultCache::kMaxAliasesPerEntry;
+  for (std::size_t i = 0; i <= cap; ++i)
+    cache.attach_exact(st.key, kBase + std::string(i, '\n'), st.hit.result,
+                       {"{a, b}"});
+  for (std::size_t i = 0; i <= cap; ++i)
+    EXPECT_EQ(static_cast<bool>(cache.lookup_exact(
+                  Problem::Dgc, 4.0, "", kBase + std::string(i, '\n'))),
+              i < cap)
+        << i;
+  // An alias larger than the shard's byte budget is not attached.
+  ResultCache::Config small;
+  small.shards = 1;
+  small.max_bytes = st.svc.cache().stats().bytes * 2;
+  AliasStack tight(small);
+  tight.svc.cache().attach_exact(tight.key, kBase, tight.hit.result,
+                                 {std::string(small.max_bytes, 'w')});
+  EXPECT_FALSE(tight.svc.cache().lookup_exact(Problem::Dgc, 4.0, "", kBase));
+  EXPECT_EQ(tight.svc.cache().stats().entries, 1u);
+}
+
+TEST(ExactAlias, EvictionAndClearDropAliases) {
+  ResultCache::Config cfg;
+  cfg.shards = 1;
+  cfg.max_entries = 1;
+  AliasStack st(cfg);
+  ResultCache& cache = st.svc.cache();
+  const std::size_t entry_bytes = cache.stats().bytes;
+  cache.attach_exact(st.key, kBase, st.hit.result, {"{a, b}"});
+  ASSERT_TRUE(cache.lookup_exact(Problem::Dgc, 4.0, "", kBase));
+
+  // Another model takes the only slot: the entry and its alias go.
+  ASSERT_TRUE(st.svc.handle(Request::of_text(Problem::Dgc, kBase, 5.0))
+                  .result.ok);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 4.0, "", kBase));
+  EXPECT_EQ(cache.stats().bytes, entry_bytes);
+
+  // clear() drops the aliases with the entries.
+  const Response again =
+      st.svc.handle(Request::of_text(Problem::Dgc, kBase, 5.0));
+  ASSERT_TRUE(again.cache_hit);
+  cache.attach_exact({again.model_hash, Problem::Dgc, 5.0, ""}, kBase,
+                     again.result, {"{a, b}"});
+  ASSERT_TRUE(cache.lookup_exact(Problem::Dgc, 5.0, "", kBase));
+  cache.clear();
+  EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 5.0, "", kBase));
+  EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@
 /// A sample model ships in examples/data/factory.atcd.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -114,17 +115,21 @@ int usage() {
   return 2;
 }
 
+/// The flags that consume the next argument as their value.
+bool takes_value(const char* flag) {
+  for (const char* f : {"--engine", "--bound", "--step", "--threads",
+                        "--repeat", "--defense", "--trace-out"})
+    if (std::strcmp(flag, f) == 0) return true;
+  return false;
+}
+
 /// Arguments not consumed by any --flag: skips every flag and, for the
-/// value-taking ones (all but the booleans --prob, --metrics-dump and
-/// --envelope), its value.
+/// value-taking ones, its value.
 std::vector<std::string> positionals(int argc, char** argv, int from) {
   std::vector<std::string> out;
   for (int i = from; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) == 0) {
-      if (std::strcmp(argv[i], "--prob") != 0 &&
-          std::strcmp(argv[i], "--metrics-dump") != 0 &&
-          std::strcmp(argv[i], "--envelope") != 0 && i + 1 < argc)
-        ++i;
+      if (takes_value(argv[i])) ++i;
       continue;
     }
     out.push_back(argv[i]);
@@ -270,6 +275,19 @@ bool parse_positive_size(const char* s, std::size_t* out) {
   return true;
 }
 
+/// Strict: the whole of \p s must be a number (no atof-style "abc" = 0);
+/// otherwise reports it as \p flag's bad value and returns false.
+bool parse_number(const char* flag, const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0') {
+    std::fprintf(stderr, "error: %s takes a number, got '%s'\n", flag, s);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -297,29 +315,33 @@ int main(int argc, char** argv) {
   bool have_step = false;
   std::vector<std::string> defenses;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--prob") == 0) use_prob = true;
-    if (std::strcmp(argv[i], "--metrics-dump") == 0) metrics_dump = true;
-    if (std::strcmp(argv[i], "--envelope") == 0) ro.envelope = true;
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
-      ro.trace_out = argv[i + 1];
-    if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      engine_name = argv[i + 1];
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_positive_size(argv[i + 1], &ro.threads)) return usage();
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--prob") == 0) use_prob = true;
+    if (std::strcmp(flag, "--metrics-dump") == 0) metrics_dump = true;
+    if (std::strcmp(flag, "--envelope") == 0) ro.envelope = true;
+    if (!takes_value(flag)) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s takes a value\n", flag);
+      return usage();
     }
-    if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      if (!parse_positive_size(argv[i + 1], &ro.repeat)) return usage();
-    }
-    if (std::strcmp(argv[i], "--bound") == 0 && i + 1 < argc) {
-      bound = std::atof(argv[i + 1]);
+    const char* value = argv[i + 1];
+    if (std::strcmp(flag, "--trace-out") == 0) ro.trace_out = value;
+    if (std::strcmp(flag, "--engine") == 0) engine_name = value;
+    if (std::strcmp(flag, "--defense") == 0) defenses.push_back(value);
+    if (std::strcmp(flag, "--threads") == 0 &&
+        !parse_positive_size(value, &ro.threads))
+      return usage();
+    if (std::strcmp(flag, "--repeat") == 0 &&
+        !parse_positive_size(value, &ro.repeat))
+      return usage();
+    if (std::strcmp(flag, "--bound") == 0) {
+      if (!parse_number(flag, value, &bound)) return usage();
       have_bound = true;
     }
-    if (std::strcmp(argv[i], "--step") == 0 && i + 1 < argc) {
-      step = std::atof(argv[i + 1]);
+    if (std::strcmp(flag, "--step") == 0) {
+      if (!parse_number(flag, value, &step)) return usage();
       have_step = true;
     }
-    if (std::strcmp(argv[i], "--defense") == 0 && i + 1 < argc)
-      defenses.push_back(argv[i + 1]);
   }
 
   // One dispatcher per invocation: the same facade the server runs on,

@@ -1,25 +1,15 @@
-/// atcd_server — serves the solve API over stdin/stdout in either of
-/// the two wire formats of src/api/:
-///
-///   * default: the legacy line protocol (src/service/protocol.hpp) —
-///     one command per line, model blocks terminated by `end`,
-///     key=value response blocks terminated by `done`.
-///   * --json: the v1 JSON envelope (src/api/json.hpp) — one request
-///     object per line (`{"v":1,"id":"7","op":"solve",...}`), one
-///     response object per line.  With --threads N > 1 requests are
-///     *pipelined*: workers dispatch them concurrently and responses
-///     come back as they complete, possibly out of order, matched by
-///     the client-supplied "id".
-///
-/// Both modes transcode onto the same api::Dispatcher, so a given
-/// operation behaves identically — same solver results, same caches,
-/// same `stats` counters — regardless of the wire format.  Either mode
-/// ends with a structured shutdown response (on `quit` and on EOF).
+/// atcd_server — serves the solve API over stdin/stdout in the v1 JSON
+/// envelope of src/api/json.hpp: one request object per line
+/// (`{"v":1,"id":"7","op":"solve",...}`), one response object per line.
+/// With --threads N > 1 requests are *pipelined*: workers dispatch them
+/// concurrently and responses come back as they complete, possibly out
+/// of order, matched by the client-supplied "id".  The session ends
+/// with a structured shutdown response (on `quit` and on EOF).
 ///
 /// With --listen host:port the same dispatcher moves onto the network
 /// (src/net/): a multi-client TCP server speaking the JSON-lines
 /// envelope (one connection = one pipelined session, exactly the
-/// --json stdin semantics), or — with --http — a minimal HTTP/1.1
+/// stdin semantics), or — with --http — a minimal HTTP/1.1
 /// endpoint (POST /api/v1 carrying one envelope per request, GET
 /// /healthz, GET /metrics).  SIGTERM/SIGINT drain gracefully:
 /// accepting stops, in-flight requests finish, and every open
@@ -30,7 +20,7 @@
 /// connection's pipelining pool.
 ///
 /// Usage:
-///   atcd_server [--json] [--timing] [--threads N] [--slow-ms N]
+///   atcd_server [--timing] [--threads N] [--slow-ms N]
 ///               [--trace-dir D] [--trace-max-files N]
 ///               [--listen host:port] [--http] [--max-conns N]
 ///               [--max-line-bytes N] [--max-queue N]
@@ -57,29 +47,19 @@
 /// trace-event JSON files (atcd_trace_<seq>_<op>.json, loadable in
 /// chrome://tracing / Perfetto) into the existing directory D — without
 /// --slow-ms every request is sampled — capped at --trace-max-files
-/// (default 256) per server lifetime.  The `metrics` operation (line
-/// mode: `metrics` / `metrics --json`) renders the full instrument
-/// registry at any time.
+/// (default 256) per server lifetime.  The `metrics` operation renders
+/// the full instrument registry at any time.
 ///
 /// --threads caps the worker threads for the scenario-analysis
-/// fan-outs in both modes and additionally sizes the pipelined
-/// dispatch pool in --json mode; 0 (default) = hardware concurrency
-/// for analyses, synchronous dispatch for --json.  --timing adds
-/// per-response wall micros to --json responses (omitted by default so
-/// responses are byte-identical across runs and thread counts).
+/// fan-outs and additionally sizes the pipelined dispatch pool; 0
+/// (default) = hardware concurrency for analyses, synchronous dispatch.
+/// --timing adds per-response wall micros to responses (omitted by
+/// default so responses are byte-identical across runs and thread
+/// counts).
 ///
-/// Line-mode one-shot example (try it interactively, or pipe in):
-///
-///   solve cdpf
-///   bas pick cost=1 damage=2
-///   bas drill cost=4 damage=1
-///   or open = pick, drill damage=10
-///   end
-///   stats
-///   quit
-///
-/// The same request in --json mode (the model block becomes a "model"
-/// string with \n escapes):
+/// One-shot example (try it interactively, or pipe it in; the model is
+/// a "model" string in the at/parser.hpp format, lines joined by \n
+/// escapes):
 ///
 ///   {"v":1,"id":"1","op":"solve","problem":"cdpf","model":"bas pick cost=1 damage=2\nbas drill cost=4 damage=1\nor open = pick, drill damage=10\n"}
 ///   {"v":1,"id":"2","op":"stats"}
@@ -102,7 +82,6 @@
 #include "api/server.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
-#include "service/protocol.hpp"
 
 namespace {
 
@@ -192,7 +171,6 @@ int main(int argc, char** argv) {
   atcd::api::Dispatcher::Options opt;
   atcd::api::JsonServeOptions jopt;
   atcd::net::ServerOptions nopt;
-  bool json = false;
   bool listen = false;
   bool router = false;
   std::vector<atcd::net::ShardAddress> shard_addrs;
@@ -200,9 +178,7 @@ int main(int argc, char** argv) {
   long snapshot_interval_s = 0;
   std::size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0)
-      json = true;
-    else if (std::strcmp(argv[i], "--timing") == 0)
+    if (std::strcmp(argv[i], "--timing") == 0)
       jopt.timing = true;
     else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
       const std::string spec = argv[++i];
@@ -265,7 +241,7 @@ int main(int argc, char** argv) {
                std::strtoul(spec.c_str() + colon + 1, nullptr, 10))});
     } else {
       std::fprintf(stderr,
-                   "usage: atcd_server [--json] [--timing] [--threads N] "
+                   "usage: atcd_server [--timing] [--threads N] "
                    "[--slow-ms N] [--trace-dir D] [--trace-max-files N] "
                    "[--listen host:port] [--http] [--max-conns N] "
                    "[--max-line-bytes N] [--max-queue N] "
@@ -274,9 +250,8 @@ int main(int argc, char** argv) {
                    "[--no-subtree-cache] "
                    "[--snapshot FILE] [--snapshot-interval-s N] "
                    "[--router --shard host:port ...]\n"
-                   "Serves the solve API on stdin/stdout: the legacy line "
-                   "protocol by default, the v1 JSON envelope with --json "
-                   "(pipelined when --threads > 1).  With --listen, a "
+                   "Serves the solve API on stdin/stdout in the v1 JSON "
+                   "envelope (pipelined when --threads > 1).  With --listen, a "
                    "multi-client TCP (or, with --http, HTTP/1.1) server "
                    "speaking the same envelope.  --snapshot FILE loads the "
                    "cache snapshot on boot (if present) and saves it on "
@@ -362,15 +337,13 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr,
-               "atcd_server: ready (%s mode, cache %s, %zu shards, "
+               "atcd_server: ready (json mode, cache %s, %zu shards, "
                "%zu entries, %zu bytes)\n",
-               json ? "json" : "line",
                opt.service.enable_cache ? "on" : "off",
                opt.service.cache.shards, opt.service.cache.max_entries,
                opt.service.cache.max_bytes);
   const std::size_t n =
-      json ? atcd::api::serve_json(std::cin, std::cout, dispatcher, jopt)
-           : atcd::service::serve(std::cin, std::cout, dispatcher);
+      atcd::api::serve_json(std::cin, std::cout, dispatcher, jopt);
   saver.reset();  // stop periodic saves before the final image
   if (!snapshot_path.empty()) snapshot_save(dispatcher, snapshot_path);
   const auto s = dispatcher.stats();

@@ -5,15 +5,14 @@
 /// in place, a new cost-damage analysis is needed").  This example
 /// automates that loop with the defense module: a countermeasure
 /// catalogue for the panda IoT network, the defender's own Pareto front
-/// (defense budget vs residual attacker damage), and a robustness check
-/// of the chosen portfolio under decoration uncertainty.
+/// (defense budget vs residual attacker damage), and a greedy plan under
+/// a fixed security budget.
 
 #include <cstdio>
 
 #include "casestudies/panda.hpp"
 #include "core/problems.hpp"
 #include "defense/defense.hpp"
-#include "robust/robust.hpp"
 
 using namespace atcd;
 
@@ -60,24 +59,5 @@ int main() {
     std::printf("\n");
   }
 
-  // Robustness: cost/damage estimates are soft — check the residual
-  // bracket if every decoration is off by up to 25%.
-  std::printf("\nRobustness of the unhardened model (25%% uncertainty):\n");
-  const auto im = robust::widen(m, 0.25);
-  const auto rd = robust::robust_dgc(im, 30.0);
-  std::printf("  attacker damage for budget 30 lies in [%g, %g]\n",
-              rd.damage_lo, rd.damage_hi);
-  const auto rf = robust::robust_cdpf(im);
-  std::printf("  bounding fronts: optimistic %zu points, pessimistic %zu "
-              "points\n", rf.optimistic.size(), rf.pessimistic.size());
-
-  // Which estimates matter most?  One-at-a-time sensitivity of the
-  // attacker's optimum — refine these numbers first.
-  std::printf("\nTop decoration sensitivities for DgC(budget 30), ±10%%:\n");
-  const auto sens = robust::dgc_sensitivity(m, 30.0, 0.1);
-  for (std::size_t i = 0; i < std::min<std::size_t>(5, sens.size()); ++i)
-    std::printf("  %-28s %-7s swing %6.2f  (%g .. %g)\n",
-                sens[i].name.c_str(), sens[i].is_cost ? "cost" : "damage",
-                sens[i].swing, sens[i].dgc_minus, sens[i].dgc_plus);
   return 0;
 }

@@ -18,12 +18,12 @@
 ///     (cache disposition, canonical hash, wall micros), and a typed
 ///     payload variant.
 ///
-/// Transports are thin codecs over this model: the versioned JSON
-/// envelope (api/json.hpp, `{"v":1,"id":...,"op":...}`) and the legacy
-/// line protocol (api/line.hpp) both transcode to exactly these structs
-/// and dispatch through the same api::Dispatcher (api/dispatcher.hpp),
-/// so the CLI, the server, benches, and any future transport cannot
-/// drift: an operation either exists here, typed, or it does not exist.
+/// The one wire format is the versioned JSON envelope (api/json.hpp,
+/// `{"v":1,"id":...,"op":...}`), a thin codec over this model that every
+/// transport carries.  It and the CLI transcode to exactly these structs
+/// and dispatch through the same api::Dispatcher (api/dispatcher.hpp), so
+/// the CLI, the server, benches, and any future transport cannot drift:
+/// an operation either exists here, typed, or it does not exist.
 
 #include <cstdint>
 #include <limits>
@@ -51,10 +51,9 @@ inline constexpr int kVersion = 1;
 /// along in Response::error but clients branch on the code alone.
 enum class ErrorCode {
   Ok = 0,
-  MalformedRequest,    ///< unparseable envelope (bad JSON, bad line syntax,
-                       ///< unterminated model block, missing v/op)
+  MalformedRequest,    ///< unparseable envelope (bad JSON, missing v/op)
   UnsupportedVersion,  ///< envelope "v" is not kVersion
-  UnknownOperation,    ///< "op" (or line command) not in the v1 vocabulary
+  UnknownOperation,    ///< "op" not in the v1 vocabulary
   InvalidArgument,     ///< well-formed request with a bad field (unknown
                        ///< problem/engine, non-finite bound, bad axis or
                        ///< defense spec, bad edit operand, ...)
@@ -220,7 +219,7 @@ std::optional<engine::Problem> parse_problem(const std::string& name);
 struct Request {
   /// Client-supplied request id, echoed verbatim on the response so
   /// pipelined transports can match out-of-order completions.  Empty is
-  /// legal (the line protocol never sets one).
+  /// legal.
   std::string id;
   Operation op;
   /// Opt-in per-request tracing (`"trace": true` on the JSON envelope):
@@ -386,11 +385,11 @@ struct Response {
 /// Convenience: an error response (payload stays monostate).
 Response error_response(std::string id, ErrorCode code, std::string message);
 
-/// The per-connection `handled` accounting shared by the line and JSON
-/// serving loops (historical semantics of the line protocol): solves
-/// count once dispatched — even when the solver fails — batch requests
-/// count one per item, resolves count unless the session was unknown,
-/// analyses count only when they ran; everything else counts zero.
+/// The per-connection `handled` accounting of the serving loop and the
+/// router: solves count once dispatched — even when the solver fails —
+/// batch requests count one per item, resolves count unless the session
+/// was unknown, analyses count only when they ran; everything else
+/// counts zero.
 std::size_t handled_increment(const Request& request,
                               const Response& response);
 

@@ -170,21 +170,9 @@ Dispatcher::Dispatcher(Options options)
   // One registry per stack: the service and both caches instrument the
   // same home the dispatcher exposes through the `metrics` op.
   options.service.metrics = metrics_;
-  owned_service_ =
+  service_ =
       std::make_unique<service::SolveService>(std::move(options.service));
-  owned_sessions_ = std::make_unique<service::SessionManager>();
-  service_ = owned_service_.get();
-  sessions_ = owned_sessions_.get();
-  init_instruments();
-}
-
-Dispatcher::Dispatcher(service::SolveService& service,
-                       service::SessionManager* sessions)
-    : metrics_(&service.metrics()), service_(&service), sessions_(sessions) {
-  if (!sessions_) {
-    owned_sessions_ = std::make_unique<service::SessionManager>();
-    sessions_ = owned_sessions_.get();
-  }
+  sessions_ = std::make_unique<service::SessionManager>();
   init_instruments();
 }
 

@@ -2,14 +2,13 @@
 /// \file dispatcher.hpp
 /// api::Dispatcher — the single execution facade behind every transport.
 ///
-/// The dispatcher owns (or borrows) the SolveService, the
-/// SessionManager, and the analysis wiring, and executes exactly the
-/// typed operations of api/api.hpp.  The legacy line protocol
-/// (api/line.hpp via service/protocol.cpp), the v1 JSON transport
-/// (api/json.hpp + api/server.hpp), and the CLI all transcode into
-/// api::Request and call dispatch(), so an operation behaves
-/// identically no matter how it arrived — same solver results, same
-/// error taxonomy, same counters.
+/// The dispatcher owns the SolveService, the SessionManager, and the
+/// analysis wiring, and executes exactly the typed operations of
+/// api/api.hpp.  The JSON envelope (api/json.hpp + api/server.hpp,
+/// served over stdin, TCP, HTTP and the router in src/net/) and the CLI
+/// both transcode into api::Request and call dispatch(), so an
+/// operation behaves identically no matter how it arrived: same solver
+/// results, same error taxonomy, same counters.
 ///
 /// dispatch() is thread-safe and never throws: every failure comes back
 /// as a typed ErrorCode response.  Exceptions are classified
@@ -18,14 +17,12 @@
 ///
 /// Stats: the dispatcher is the one source of truth.  Its per-operation
 /// counters cover every path — including the analyses, whose derived
-/// solves also run against the service's result cache here (the old
-/// protocol bypassed it, so `stats` drifted from the work actually
-/// done).
+/// solves also run against the service's result cache, so `stats`
+/// reflects the work actually done.
 ///
 /// Observability: every dispatcher-assembled stack shares one
-/// obs::Registry (owned here unless Options::metrics injects one, or
-/// adopted from the service in the borrowing constructor).  The op
-/// counters and per-op latency histograms are registry instruments,
+/// obs::Registry (owned here unless Options::metrics injects one).  The
+/// op counters and per-op latency histograms are registry instruments,
 /// resolved once at construction so the dispatch hot path never takes
 /// the registry lock; the `metrics` operation renders the registry, and
 /// `"trace": true` requests get a span context for the duration of the
@@ -75,17 +72,10 @@ class Dispatcher {
     bool record_metrics = true;
   };
 
-  /// Owning constructors: the dispatcher builds its own service and
-  /// session manager from the options.
+  /// The dispatcher builds its own service and session manager from
+  /// the options.
   Dispatcher();
   explicit Dispatcher(Options options);
-
-  /// Borrowing constructor: wraps an existing service (and optionally a
-  /// shared session manager — null gives the dispatcher a private one).
-  /// Used by the legacy serve() signature so existing call sites keep
-  /// their SolveService ownership; the op counters live per dispatcher.
-  explicit Dispatcher(service::SolveService& service,
-                      service::SessionManager* sessions = nullptr);
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
@@ -129,14 +119,12 @@ class Dispatcher {
   /// sessions) from their sources of truth.
   void refresh_gauges() const;
 
-  /// Declared before owned_service_: the owning constructor points the
-  /// service options at this registry before building the service.
+  /// Declared before service_: the constructor points the service
+  /// options at this registry before building the service.
   std::unique_ptr<obs::Registry> owned_metrics_;
   obs::Registry* metrics_ = nullptr;
-  std::unique_ptr<service::SolveService> owned_service_;
-  std::unique_ptr<service::SessionManager> owned_sessions_;
-  service::SolveService* service_ = nullptr;
-  service::SessionManager* sessions_ = nullptr;
+  std::unique_ptr<service::SolveService> service_;
+  std::unique_ptr<service::SessionManager> sessions_;
 
   double slow_request_micros_ = 0.0;
   bool record_ = true;

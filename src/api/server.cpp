@@ -12,10 +12,20 @@
 #include <vector>
 
 #include "api/json.hpp"
-#include "api/line.hpp"
 #include "obs/metrics.hpp"
 
 namespace atcd::api {
+
+namespace detail {
+
+std::string trim(const std::string& s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return {};
+  const auto e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // IoStreamTransport.

@@ -42,8 +42,8 @@
 /// server, and the HTTP endpoint (src/net/) all run exactly the same
 /// serving code — same pipelining, same caps, same shutdown semantics.
 ///
-/// Blank lines and lines starting with '#' are skipped, so the same
-/// script files that drive the line protocol can carry JSON sessions.
+/// Blank lines and lines starting with '#' are skipped, so request
+/// script files can carry comments.
 
 #include <cstddef>
 #include <iosfwd>
@@ -51,6 +51,14 @@
 #include <vector>
 
 #include "api/dispatcher.hpp"
+
+namespace atcd::api::detail {
+
+/// Strips leading/trailing spaces, tabs, and CRs from one framed line —
+/// shared by the serving core and the router (src/net/router.cpp).
+std::string trim(const std::string& s);
+
+}  // namespace atcd::api::detail
 
 namespace atcd::api {
 
@@ -119,8 +127,7 @@ std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
 
 /// Serves JSON-envelope requests from \p in to \p out until EOF or
 /// `quit` — serve_lines over an IoStreamTransport.  Returns the number
-/// of solve/resolve/analyze requests handled (same accounting as the
-/// line-protocol serve()).
+/// of solve/resolve/analyze requests handled.
 std::size_t serve_json(std::istream& in, std::ostream& out,
                        Dispatcher& dispatcher,
                        const JsonServeOptions& options = {});

@@ -15,7 +15,7 @@
 #include <optional>
 
 #include "api/json.hpp"
-#include "api/line.hpp"
+#include "api/server.hpp"
 #include "at/parser.hpp"
 #include "service/subtree_cache.hpp"
 

@@ -374,7 +374,8 @@ template <typename T>
 bool read_raw(const std::string& in, std::size_t* at, T* p, std::size_t n) {
   const std::size_t bytes = n * sizeof(T);
   if (in.size() - *at < bytes) return false;
-  std::memcpy(p, in.data() + *at, bytes);
+  // An empty column has a null data(); memcpy forbids null even for 0.
+  if (bytes != 0) std::memcpy(p, in.data() + *at, bytes);
   *at += bytes;
   return true;
 }

@@ -76,7 +76,7 @@ std::uint64_t treelike_fingerprint_update(
 
 /// The model fingerprint used uniformly across the serving layer — by
 /// the result-cache key, one-shot responses, and session responses — so
-/// the protocol's hash= field identifies a model consistently no matter
+/// a response's "hash" field identifies a model consistently no matter
 /// which path served it: the Merkle fingerprint for treelike models
 /// (fast path), canon.hpp's WL canonical_hash for DAGs.  Both are
 /// isomorphism-invariant; consumers that need exactness still deep-check

@@ -19,11 +19,9 @@
 
 #include "api/dispatcher.hpp"
 #include "api/json.hpp"
-#include "api/line.hpp"
 #include "api/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/protocol.hpp"
 
 namespace atcd {
 namespace {
@@ -420,17 +418,6 @@ TEST(MetricsOp, ExposesCoreInstrumentsOnEveryTransport) {
   const Decoded<Response> dec = decode_response(once);
   ASSERT_EQ(dec.code, ErrorCode::Ok) << dec.error;
   EXPECT_EQ(encode_response(dec.value, false), once);
-
-  // Line transport: `metrics` renders the Prometheus text as rows,
-  // `metrics --json` renders the registry JSON as one json= line.
-  std::istringstream lin("metrics\nmetrics --json\nquit\n");
-  std::ostringstream lout;
-  service::serve(lin, lout, d);
-  EXPECT_NE(lout.str().find("ok=true\nkind=metrics\n"), std::string::npos);
-  EXPECT_NE(lout.str().find("=# TYPE atcd_api_requests_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(lout.str().find("ok=true\njson={\"counters\":"),
-            std::string::npos);
 }
 
 TEST(MetricsOp, RequestRoundTripsAndRejectsBadTraceFlag) {
@@ -468,12 +455,6 @@ TEST(StatsLatency, DigestCoversEveryDispatchedRequest) {
   EXPECT_EQ(encode_response(resp, false).find("latency"),
             std::string::npos);
   EXPECT_NE(encode_response(resp, true).find("\"latency\":{\"count\":3"),
-            std::string::npos);
-
-  // The line renderings always carry the digest (line stats blocks are
-  // not byte-pinned across runs).
-  EXPECT_NE(format_line(resp).find("latency_count=3\n"), std::string::npos);
-  EXPECT_NE(format_stats_json_line(s).find("\"latency\":{\"count\":3"),
             std::string::npos);
 }
 

@@ -2,8 +2,8 @@
 /// hashing, the sharded LRU result cache (eviction order, byte budget,
 /// shard independence, collision safety), the SolveService front door
 /// (cache hits for repeated and isomorphic-permuted submissions,
-/// in-flight coalescing), the line protocol, and the parser round-trip
-/// property wired through the canonical hash.
+/// in-flight coalescing), a JSON serving session over the service, and
+/// the parser round-trip property wired through the canonical hash.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/json.hpp"
+#include "api/server.hpp"
 #include "at/parser.hpp"
 #include "casestudies/factory.hpp"
 #include "gen/random_at.hpp"
@@ -21,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "service/cache.hpp"
 #include "service/canon.hpp"
-#include "service/protocol.hpp"
 #include "service/service.hpp"
 
 namespace atcd {
@@ -716,111 +717,67 @@ TEST(ExactAlias, EvictionAndClearDropAliases) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol.
+// Protocol: one JSON-envelope serving session over the service.
 // ---------------------------------------------------------------------------
 
 TEST(Protocol, SolveStatsAndErrorsOverOneSession) {
-  SolveService svc;
-  std::istringstream in(
-      "solve cdpf\n"
+  const std::string model =
       "bas a cost=1 damage=2\n"
       "bas b cost=3\n"
-      "or root = a, b damage=4\n"
-      "end\n"
-      "solve cdpf\n"
-      "bas a cost=1 damage=2\n"
-      "bas b cost=3\n"
-      "or root = a, b damage=4\n"
-      "end\n"
-      "solve dgc bound=1 engine=enumerative\n"
-      "bas a cost=1 damage=2\n"
-      "bas b cost=3\n"
-      "or root = a, b damage=4\n"
-      "end\n"
-      "solve nope\n"
-      "bas z cost=1\n"
-      "end\n"
-      "stats\n"
-      "quit\n");
-  std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 3u);
-  const std::string o = out.str();
+      "or root = a, b damage=4\n";
+  std::string script;
+  for (const char* id : {"s1", "s2"}) {
+    api::Request r;
+    r.id = id;
+    r.op = api::SolveRequest{{Problem::Cdpf, 0.0, false, "", model}};
+    script += api::encode_request(r) + "\n";
+  }
+  api::Request dgc;
+  dgc.id = "s3";
+  dgc.op = api::SolveRequest{{Problem::Dgc, 1.0, true, "enumerative", model}};
+  script += api::encode_request(dgc) + "\n";
+  script +=
+      "{\"v\":1,\"id\":\"np\",\"op\":\"solve\",\"problem\":\"nope\","
+      "\"model\":\"bas z cost=1\\n\"}\n";
+  script += "{\"v\":1,\"id\":\"st\",\"op\":\"stats\"}\n";
+  script += "{\"v\":1,\"id\":\"q\",\"op\":\"quit\"}\n";
 
-  EXPECT_NE(o.find("ok=true\n"), std::string::npos);
-  EXPECT_NE(o.find("cache=miss\n"), std::string::npos);
-  EXPECT_NE(o.find("cache=hit\n"), std::string::npos);
-  EXPECT_NE(o.find("kind=front\n"), std::string::npos);
-  EXPECT_NE(o.find("kind=attack\n"), std::string::npos);
-  EXPECT_NE(o.find("engine=enumerative\n"), std::string::npos);
-  EXPECT_NE(o.find("unknown problem 'nope'"), std::string::npos);
-  EXPECT_NE(o.find("hits=1\n"), std::string::npos);
-  // `quit` answers with a structured shutdown block, never a silent
-  // exit; handled = the three solves.
-  EXPECT_NE(o.find("kind=shutdown\nhandled=3\n"), std::string::npos);
-  // Every response block is terminated.
-  std::size_t dones = 0;
-  for (auto pos = o.find("done\n"); pos != std::string::npos;
-       pos = o.find("done\n", pos + 1))
-    ++dones;
-  EXPECT_EQ(dones, 6u);  // 3 solves + 1 error + 1 stats + shutdown
-}
-
-TEST(Protocol, UnterminatedModelBlockIsAnError) {
-  SolveService svc;
-  std::istringstream in("solve cdpf\nbas a cost=1\n");
+  api::Dispatcher d;
+  std::istringstream in(script);
   std::ostringstream out;
-  service::serve(in, out, svc);
-  EXPECT_NE(out.str().find("unterminated model block"), std::string::npos);
-}
+  EXPECT_EQ(api::serve_json(in, out, d), 3u);
 
-TEST(Protocol, EndTerminatorMayCarryAComment) {
-  SolveService svc;
-  std::istringstream in(
-      "solve cdpf\n"
-      "bas a cost=1\n"
-      "bas b cost=2\n"
-      "or r = a, b damage=3\n"
-      "end  # that's the model\n"
-      "quit\n");
-  std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 1u);
-  EXPECT_NE(out.str().find("ok=true"), std::string::npos) << out.str();
-  EXPECT_EQ(out.str().find("unterminated"), std::string::npos);
-}
+  // One response per request, the shutdown last.
+  std::vector<api::Response> resps;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    api::Decoded<api::Response> dec = api::decode_response(line);
+    ASSERT_EQ(dec.code, api::ErrorCode::Ok) << line;
+    resps.push_back(std::move(dec.value));
+  }
+  ASSERT_EQ(resps.size(), 6u) << out.str();
 
-TEST(Protocol, BadHeaderStillConsumesTheModelBlock) {
-  // Regression: a solve line with a bad header must swallow the model
-  // block that follows, or its lines get re-parsed as commands and the
-  // session desyncs (one response per request is the contract).
-  SolveService svc;
-  std::istringstream in(
-      "solve dgc bound=abc\n"
-      "bas a cost=1\n"
-      "bas b cost=2\n"
-      "or r = a, b damage=3\n"
-      "end\n"
-      "solve dgc bound=nan\n"
-      "bas a cost=1\n"
-      "end\n"
-      "solve dgc bound=5,\n"
-      "bas a cost=1\n"
-      "end\n"
-      "quit\n");
-  std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 0u);
-  const std::string o = out.str();
-  EXPECT_NE(o.find("bad bound 'bound=abc'"), std::string::npos) << o;
-  EXPECT_NE(o.find("must be finite"), std::string::npos) << o;
-  EXPECT_NE(o.find("bad bound 'bound=5,'"), std::string::npos) << o;
-  EXPECT_EQ(o.find("unknown command"), std::string::npos) << o;
-  std::size_t dones = 0;
-  for (auto pos = o.find("done\n"); pos != std::string::npos;
-       pos = o.find("done\n", pos + 1))
-    ++dones;
-  EXPECT_EQ(dones, 4u);  // one block per request + the shutdown block
+  const auto solve = [&](std::size_t i) {
+    EXPECT_EQ(resps[i].code, api::ErrorCode::Ok) << resps[i].error;
+    return std::get<api::SolvePayload>(resps[i].payload);
+  };
+  EXPECT_EQ(solve(0).cache, "miss");
+  EXPECT_TRUE(solve(0).is_front);
+  EXPECT_EQ(solve(1).cache, "hit");
+  EXPECT_FALSE(solve(2).is_front);
+  EXPECT_EQ(solve(2).backend, "enumerative");
+
+  EXPECT_EQ(resps[3].id, "np");
+  EXPECT_EQ(resps[3].code, api::ErrorCode::InvalidArgument);
+  EXPECT_NE(resps[3].error.find("unknown problem 'nope'"), std::string::npos);
+
+  const auto& stats = std::get<api::StatsPayload>(resps[4].payload);
+  EXPECT_EQ(stats.cache.hits, 1u);
+
+  // `quit` answers with a structured shutdown, never a silent exit;
+  // handled = the three solves.
+  EXPECT_EQ(resps[5].id, "q");
+  EXPECT_EQ(std::get<api::ShutdownPayload>(resps[5].payload).handled, 3u);
 }
 
 }  // namespace

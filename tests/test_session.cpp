@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <thread>
 
+#include "api/json.hpp"
+#include "api/server.hpp"
 #include "helpers.hpp"
-#include "service/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace atcd {
@@ -446,47 +448,68 @@ TEST(Session, ConcurrentSessionsShareTheSubtreeCacheSafely) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol: open / edit / resolve / close round trip.
+// Protocol: open / edit / resolve / close round trip over JSON.
 // ---------------------------------------------------------------------------
 
 TEST(Session, ProtocolSessionRoundTrip) {
-  service::SolveService svc;
-  std::istringstream in(
-      "open cdpf\n" +
-      std::string(kModel) +
-      "end\n"
-      "resolve 1\n"
-      "edit 1 set-cost pick 6\n"
-      "resolve 1\n"
-      "edit 1 replace-subtree break\n"
-      "bas jimmy cost=1 damage=7\n"
-      "end\n"
-      "resolve 1\n"
-      "edit 1 toggle-defense jimmy\n"
-      "resolve 1\n"
-      "stats\n"
-      "edit 99 set-cost pick 1\n"   // unknown session
-      "edit 1 set-cost nope 1\n"    // unknown BAS
-      "edit replace-subtree open\n" // missing sid: block must be consumed
-      "bas stray cost=1\n"
-      "end\n"
-      "close 1\n"
-      "resolve 1\n"                 // closed
-      "quit\n");
+  using api::EditOp;
+  std::vector<api::Request> reqs;
+  const auto add = [&](const std::string& id, api::Operation op) {
+    api::Request r;
+    r.id = id;
+    r.op = std::move(op);
+    reqs.push_back(std::move(r));
+  };
+  add("open", api::SessionOpenRequest{{Problem::Cdpf, 0.0, false, "", kModel}});
+  add("r0", api::SessionResolveRequest{1});
+  add("cost", api::SessionEditRequest{1, EditOp::SetCost, "pick", 6.0, ""});
+  add("r1", api::SessionResolveRequest{1});
+  add("subtree", api::SessionEditRequest{1, EditOp::ReplaceSubtree, "break",
+                                         0.0, "bas jimmy cost=1 damage=7\n"});
+  add("r2", api::SessionResolveRequest{1});
+  add("defense",
+      api::SessionEditRequest{1, EditOp::ToggleDefense, "jimmy", 0.0, ""});
+  add("r3", api::SessionResolveRequest{1});
+  add("stats", api::StatsRequest{});
+  add("e99", api::SessionEditRequest{99, EditOp::SetCost, "pick", 1.0, ""});
+  add("ebas", api::SessionEditRequest{1, EditOp::SetCost, "nope", 1.0, ""});
+  add("close", api::SessionCloseRequest{1});
+  add("rclosed", api::SessionResolveRequest{1});
+  std::string script;
+  for (const api::Request& r : reqs) script += api::encode_request(r) + "\n";
+
+  api::Dispatcher d;
+  std::istringstream in(script);
   std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 4u);  // four resolves counted
-  const std::string o = out.str();
-  EXPECT_NE(o.find("session=1\n"), std::string::npos);
-  EXPECT_NE(o.find("kind=front"), std::string::npos);
-  EXPECT_NE(o.find("subtree_hits="), std::string::npos);
-  EXPECT_NE(o.find("sessions=1\n"), std::string::npos);
-  EXPECT_NE(o.find("error=no session 99"), std::string::npos);
-  EXPECT_NE(o.find("error=set-cost: no BAS named 'nope'"), std::string::npos);
-  EXPECT_NE(o.find("error=no session 1"), std::string::npos);
-  // The malformed edit's model block was consumed, not re-parsed as
-  // commands — the stream never desyncs.
-  EXPECT_EQ(o.find("unknown command"), std::string::npos) << o;
+  EXPECT_EQ(api::serve_json(in, out, d), 4u);  // four resolves counted
+
+  std::map<std::string, api::Response> by_id;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    api::Decoded<api::Response> dec = api::decode_response(line);
+    ASSERT_EQ(dec.code, api::ErrorCode::Ok) << line;
+    by_id[dec.value.id] = std::move(dec.value);
+  }
+  ASSERT_EQ(by_id.size(), reqs.size() + 1) << out.str();  // + shutdown
+
+  EXPECT_EQ(std::get<api::SessionOpenedPayload>(by_id["open"].payload).session,
+            1u);
+  for (const char* id : {"cost", "subtree", "defense", "close"})
+    EXPECT_EQ(by_id[id].code, api::ErrorCode::Ok) << id << by_id[id].error;
+  for (const char* id : {"r0", "r1", "r2", "r3"}) {
+    ASSERT_EQ(by_id[id].code, api::ErrorCode::Ok) << id << by_id[id].error;
+    EXPECT_TRUE(std::get<api::SolvePayload>(by_id[id].payload).is_front);
+  }
+  const auto& stats = std::get<api::StatsPayload>(by_id["stats"].payload);
+  EXPECT_EQ(stats.sessions, 1u);
+  EXPECT_EQ(stats.api.session_resolves, 4u);
+
+  EXPECT_EQ(by_id["e99"].code, api::ErrorCode::NoSuchSession);
+  EXPECT_EQ(by_id["e99"].error, "no session 99");
+  EXPECT_EQ(by_id["ebas"].code, api::ErrorCode::InvalidArgument);
+  EXPECT_EQ(by_id["ebas"].error, "set-cost: no BAS named 'nope'");
+  EXPECT_EQ(by_id["rclosed"].code, api::ErrorCode::NoSuchSession);
+  EXPECT_EQ(by_id["rclosed"].error, "no session 1");
 }
 
 }  // namespace

@@ -388,6 +388,320 @@ TEST(JsonCodec, ResponseRoundTripIsByteStable) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned wire bytes: one request per op and one response per payload
+// alternative as literal lines, plus one (code, message) row per decode
+// rule.  Any codec change that alters a byte fails here.
+// ---------------------------------------------------------------------------
+
+TEST(JsonCodec, CanonicalBytesArePinned) {
+  const auto req = [](std::string id, Operation op, bool trace = false) {
+    Request r;
+    r.id = std::move(id);
+    r.op = std::move(op);
+    r.trace = trace;
+    return r;
+  };
+  using engine::Problem;
+  AnalyzeSweepRequest sweep_full;
+  sweep_full.problem = Problem::Dgc;
+  sweep_full.axes = {"cost:a:1:3:3", "defense:b"};
+  sweep_full.bound = 5;
+  sweep_full.has_bound = true;
+  sweep_full.engine = "bilp";
+  sweep_full.model = "m";
+  AnalyzeSweepRequest sweep_min;
+  sweep_min.model = "m";
+  AnalyzeSensitivityRequest sens_full;
+  sens_full.problem = Problem::Cedpf;
+  sens_full.step = 0.1;
+  sens_full.has_step = true;
+  sens_full.engine = "bdd";
+  sens_full.model = "m";
+  AnalyzeSensitivityRequest sens_min;
+  sens_min.model = "m";
+  AnalyzePortfolioRequest port_full;
+  port_full.problem = Problem::Edgc;
+  port_full.defenses = {"cam:1:a", "lock:2:b+c"};
+  port_full.budget = 10;
+  port_full.has_budget = true;
+  port_full.bound = 4;
+  port_full.has_bound = true;
+  port_full.engine = "bottom-up";
+  port_full.model = "m";
+  AnalyzePortfolioRequest port_min;
+  port_min.defenses = {"cam:1:a"};
+  port_min.model = "m";
+  BatchRequest batch_full;
+  batch_full.threads = 3;
+  batch_full.items = {{Problem::Cgd, 4.0, true, "bdd", "x"},
+                      {Problem::Cedpf, 0.0, false, "", "y"}};
+
+  const std::pair<Request, const char*> requests[] = {
+      {req("1", SolveRequest{{Problem::Dgc, 2.5, true, "bottom-up",
+                              "bas a cost=1\n"}},
+           true),
+       R"({"v":1,"id":"1","op":"solve","trace":true,"problem":"dgc","bound":2.5,"engine":"bottom-up","model":"bas a cost=1\n"})"},
+      {req("", SolveRequest{{Problem::Cdpf, 0.0, false, "", "m"}}),
+       R"({"v":1,"op":"solve","problem":"cdpf","model":"m"})"},
+      {req("2", batch_full),
+       R"({"v":1,"id":"2","op":"batch","threads":3,"items":[{"problem":"cgd","bound":4,"engine":"bdd","model":"x"},{"problem":"cedpf","model":"y"}]})"},
+      {req("3", BatchRequest{}), R"({"v":1,"id":"3","op":"batch","items":[]})"},
+      {req("4", SessionOpenRequest{{Problem::Edgc, 1.0, true, "", "m"}}),
+       R"({"v":1,"id":"4","op":"open","problem":"edgc","bound":1,"model":"m"})"},
+      {req("5", SessionEditRequest{7, EditOp::SetCost, "a", 3.5, ""}),
+       R"({"v":1,"id":"5","op":"edit","session":7,"edit":"set-cost","target":"a","value":3.5})"},
+      {req("6", SessionEditRequest{7, EditOp::ToggleDefense, "d", 0.0, ""}),
+       R"({"v":1,"id":"6","op":"edit","session":7,"edit":"toggle-defense","target":"d"})"},
+      {req("7", SessionEditRequest{7, EditOp::ReplaceSubtree, "g", 0.0,
+                                   "bas x cost=1\n"}),
+       R"({"v":1,"id":"7","op":"edit","session":7,"edit":"replace-subtree","target":"g","model":"bas x cost=1\n"})"},
+      {req("8", SessionResolveRequest{7}),
+       R"({"v":1,"id":"8","op":"resolve","session":7})"},
+      {req("9", SessionCloseRequest{7}),
+       R"({"v":1,"id":"9","op":"close","session":7})"},
+      {req("10", sweep_full),
+       R"({"v":1,"id":"10","op":"sweep","problem":"dgc","axes":["cost:a:1:3:3","defense:b"],"bound":5,"engine":"bilp","model":"m"})"},
+      {req("11", sweep_min),
+       R"({"v":1,"id":"11","op":"sweep","problem":"cdpf","axes":[],"model":"m"})"},
+      {req("12", sens_full),
+       R"({"v":1,"id":"12","op":"sensitivity","problem":"cedpf","step":0.1,"engine":"bdd","model":"m"})"},
+      {req("13", sens_min),
+       R"({"v":1,"id":"13","op":"sensitivity","problem":"cdpf","model":"m"})"},
+      {req("14", port_full),
+       R"({"v":1,"id":"14","op":"portfolio","problem":"edgc","defenses":["cam:1:a","lock:2:b+c"],"budget":10,"bound":4,"engine":"bottom-up","model":"m"})"},
+      {req("15", port_min),
+       R"({"v":1,"id":"15","op":"portfolio","problem":"dgc","defenses":["cam:1:a"],"model":"m"})"},
+      {req("16", StatsRequest{}), R"({"v":1,"id":"16","op":"stats"})"},
+      {req("17", MetricsRequest{}), R"({"v":1,"id":"17","op":"metrics"})"},
+      {req("18", ShutdownRequest{}), R"({"v":1,"id":"18","op":"quit"})"},
+      {req("19", SnapshotSaveRequest{"s.atcd"}),
+       R"({"v":1,"id":"19","op":"snapshot-save","path":"s.atcd"})"},
+      {req("20", SnapshotLoadRequest{"s.atcd"}),
+       R"({"v":1,"id":"20","op":"snapshot-load","path":"s.atcd"})"},
+  };
+  for (const auto& [request, line] : requests) {
+    EXPECT_EQ(encode_request(request), line);
+    const Decoded<Request> dec = decode_request(line);
+    ASSERT_EQ(dec.code, ErrorCode::Ok) << line << " -> " << dec.error;
+    EXPECT_EQ(encode_request(dec.value), line);
+  }
+
+  const auto ok = [](std::string id, Payload p) {
+    Response r;
+    r.id = std::move(id);
+    r.payload = std::move(p);
+    return r;
+  };
+  SolvePayload front;
+  front.backend = "bottom-up";
+  front.cache = "miss";
+  front.hash = 0x0123456789abcdefULL;
+  front.is_front = true;
+  front.points = {{0, 0, "{}"}, {1.5, 2, "{a}"}, {3, 1e-7, "{a, \"b\"}"}};
+  SolvePayload attack;
+  attack.problem = Problem::Dgc;
+  attack.backend = "bilp";
+  attack.cache = "hit";
+  attack.hash = 42;
+  attack.feasible = true;
+  attack.cost = 1;
+  attack.damage = 2.25;
+  attack.attack = "{a}";
+  SolvePayload infeasible = attack;
+  infeasible.problem = Problem::Cgd;
+  infeasible.cache = "coalesced";
+  infeasible.feasible = false;
+  BatchPayload batch;
+  batch.items.resize(2);
+  batch.items[0].solve = attack;
+  batch.items[1].code = ErrorCode::ParseError;
+  batch.items[1].error = "line 1: bad";
+  StatsPayload stats;
+  stats.cache = {1, 2, 3, 4, 5, 6, 7};
+  stats.subtree = {8, 9, 10, 11, 12, 13, 14};
+  stats.sessions = 15;
+  stats.api = {16, 17, 18, 19, 20, 21, 22, 23, 24};
+  stats.latency = {25, 26, 27.5, 28, 29};
+  stats.persist = {30, 31, 32, 33, 34};
+  Response timed = ok("stats-timed", stats);
+  timed.micros = 12.5;
+  Response traced =
+      error_response("traced", ErrorCode::InvalidArgument, "bad \"x\"");
+  traced.trace = TracePayload{{{"dispatch", 0, 0, 12}, {"decode", 1, 1, 3}},
+                              {{"zeta", 2}, {"alpha", 1}}};
+
+  const struct {
+    Response response;
+    bool with_micros;
+    const char* line;
+  } responses[] = {
+      {ok("bare", std::monostate{}), false,
+       R"({"v":1,"id":"bare","code":"ok"})"},
+      {ok("front", front), false,
+       R"({"v":1,"id":"front","code":"ok","kind":"front","problem":"cdpf","engine":"bottom-up","cache":"miss","hash":"0123456789abcdef","points":[{"cost":0,"damage":0,"attack":"{}"},{"cost":1.5,"damage":2,"attack":"{a}"},{"cost":3,"damage":1e-07,"attack":"{a, \"b\"}"}]})"},
+      {ok("attack", attack), false,
+       R"({"v":1,"id":"attack","code":"ok","kind":"attack","problem":"dgc","engine":"bilp","cache":"hit","hash":"000000000000002a","feasible":true,"cost":1,"damage":2.25,"attack":"{a}"})"},
+      {ok("infeasible", infeasible), false,
+       R"({"v":1,"id":"infeasible","code":"ok","kind":"attack","problem":"cgd","engine":"bilp","cache":"coalesced","hash":"000000000000002a","feasible":false})"},
+      {ok("batch", batch), false,
+       R"({"v":1,"id":"batch","code":"ok","kind":"batch","items":[{"code":"ok","kind":"attack","problem":"dgc","engine":"bilp","cache":"hit","hash":"000000000000002a","feasible":true,"cost":1,"damage":2.25,"attack":"{a}"},{"code":"parse_error","error":"line 1: bad"}]})"},
+      {ok("session", SessionOpenedPayload{42}), false,
+       R"({"v":1,"id":"session","code":"ok","kind":"session","session":42})"},
+      {ok("edited", EditAppliedPayload{}), false,
+       R"({"v":1,"id":"edited","code":"ok","kind":"edited"})"},
+      {ok("closed", SessionClosedPayload{}), false,
+       R"({"v":1,"id":"closed","code":"ok","kind":"closed"})"},
+      {ok("analysis", AnalysisPayload{"sweep", "a b\n1 2\n"}), false,
+       R"({"v":1,"id":"analysis","code":"ok","kind":"analysis","analysis":"sweep","rows":["a b","1 2"]})"},
+      {ok("stats", stats), false,
+       R"({"v":1,"id":"stats","code":"ok","kind":"stats","cache":{"hits":1,"misses":2,"insertions":3,"evictions":4,"collisions":5,"entries":6,"bytes":7},"subtree":{"hits":8,"misses":9,"insertions":10,"evictions":11,"collisions":12,"entries":13,"bytes":14},"sessions":15,"api":{"requests":16,"solves":17,"batches":18,"session_opens":19,"session_edits":20,"session_resolves":21,"session_closes":22,"analyses":23,"errors":24},"persist":{"saves":30,"loads":31,"save_errors":32,"load_errors":33,"snapshot_bytes":34}})"},
+      {timed, true,
+       R"({"v":1,"id":"stats-timed","code":"ok","kind":"stats","cache":{"hits":1,"misses":2,"insertions":3,"evictions":4,"collisions":5,"entries":6,"bytes":7},"subtree":{"hits":8,"misses":9,"insertions":10,"evictions":11,"collisions":12,"entries":13,"bytes":14},"sessions":15,"api":{"requests":16,"solves":17,"batches":18,"session_opens":19,"session_edits":20,"session_resolves":21,"session_closes":22,"analyses":23,"errors":24},"persist":{"saves":30,"loads":31,"save_errors":32,"load_errors":33,"snapshot_bytes":34},"latency":{"count":25,"sum_micros":26,"p50":27.5,"p95":28,"p99":29},"micros":12.5})"},
+      {ok("metrics",
+          MetricsPayload{R"({"a":1,"b":{"c":2.5}})", "a 1\nb_c 2.5\n"}),
+       false,
+       R"({"v":1,"id":"metrics","code":"ok","kind":"metrics","metrics":{"a":1,"b":{"c":2.5}},"text":"a 1\nb_c 2.5\n"})"},
+      {ok("shutdown", ShutdownPayload{5}), false,
+       R"({"v":1,"id":"shutdown","code":"ok","kind":"shutdown","handled":5})"},
+      {ok("snapshot", SnapshotPayload{"save", "s.atcd", 3, 4, 1234}), false,
+       R"({"v":1,"id":"snapshot","code":"ok","kind":"snapshot","action":"save","path":"s.atcd","result_entries":3,"subtree_entries":4,"file_bytes":1234})"},
+      {traced, false,
+       R"({"v":1,"id":"traced","code":"invalid_argument","error":"bad \"x\"","trace":{"spans":[{"name":"dispatch","depth":0,"start_us":0,"dur_us":12},{"name":"decode","depth":1,"start_us":1,"dur_us":3}],"facts":{"alpha":1,"zeta":2}}})"},
+  };
+  for (const auto& row : responses) {
+    EXPECT_EQ(encode_response(row.response, row.with_micros), row.line);
+    const Decoded<Response> dec = decode_response(row.line);
+    ASSERT_EQ(dec.code, ErrorCode::Ok) << row.line << " -> " << dec.error;
+    EXPECT_EQ(encode_response(dec.value, row.with_micros), row.line);
+  }
+
+  const struct {
+    const char* line;
+    ErrorCode code;
+    const char* message;
+  } rejects[] = {
+      {R"({"v":1,"op":"solve","model":""})", ErrorCode::InvalidArgument,
+       R"(missing field "problem")"},
+      {R"({"v":1,"op":"solve","problem":7,"model":""})",
+       ErrorCode::InvalidArgument, R"(field "problem" must be a string)"},
+      {R"({"v":1,"op":"solve","problem":"cdpf","model":7})",
+       ErrorCode::InvalidArgument, R"(field "model" must be a string)"},
+      {R"({"v":1,"op":"solve","problem":"cdpf"})", ErrorCode::InvalidArgument,
+       R"(missing field "model")"},
+      {R"({"v":1,"op":"solve","problem":"cdpf","bound":"x","model":""})",
+       ErrorCode::InvalidArgument, R"(field "bound" must be a finite number)"},
+      {R"({"v":1,"op":"solve","problem":"cdpf","bound":1e999,"model":""})",
+       ErrorCode::MalformedRequest,
+       "bad JSON: number out of range at byte 50"},
+      {R"({"v":1,"op":"open","problem":"cdpf","bound":null,"model":""})",
+       ErrorCode::InvalidArgument, R"(field "bound" must be a finite number)"},
+      {R"({"v":1,"op":"solve","problem":"cdpf","engine":1,"model":""})",
+       ErrorCode::InvalidArgument, R"(field "engine" must be a string)"},
+      {R"({"v":1,"op":"solve","problem":"zzz","model":""})",
+       ErrorCode::InvalidArgument,
+       "unknown problem 'zzz' (expected cdpf|dgc|cgd|cedpf|edgc|cged)"},
+      {R"({"v":1,"op":"solve","problem":"cdpf","model":"","junk":1})",
+       ErrorCode::InvalidArgument, R"(unknown field "junk" for op 'solve')"},
+      {R"({"v":1,"op":"sensitivity","problem":"cdpf","step":0,"model":""})",
+       ErrorCode::InvalidArgument, "bad step (must be > 0)"},
+      {R"({"v":1,"op":"sensitivity","problem":"cdpf","step":-0.5,"model":""})",
+       ErrorCode::InvalidArgument, "bad step (must be > 0)"},
+      {R"({"v":1,"op":"portfolio","problem":"dgc","defenses":[],"budget":-1,"model":""})",
+       ErrorCode::InvalidArgument, "bad budget (must be >= 0)"},
+      {R"({"v":1,"op":"portfolio","problem":"dgc","defenses":[],"budget":null,"model":""})",
+       ErrorCode::InvalidArgument, R"(field "budget" must be a finite number)"},
+      {R"({"v":1,"op":"portfolio","problem":"dgc","defenses":[1],"model":""})",
+       ErrorCode::InvalidArgument,
+       R"(field "defenses" must be an array of strings)"},
+      {R"({"v":1,"op":"portfolio","problem":"dgc","model":""})",
+       ErrorCode::InvalidArgument, R"(missing field "defenses")"},
+      {R"({"v":1,"op":"sweep","problem":"dgc","axes":"cost:a","model":""})",
+       ErrorCode::InvalidArgument,
+       R"(field "axes" must be an array of strings)"},
+      {R"({"v":1,"op":"sweep","problem":"dgc","axes":[],"bound":true,"model":""})",
+       ErrorCode::InvalidArgument, R"(field "bound" must be a finite number)"},
+      {R"({"v":1,"op":"batch","threads":1.5,"items":[]})",
+       ErrorCode::InvalidArgument,
+       R"(field "threads" must be a small non-negative integer)"},
+      {R"({"v":1,"op":"batch","threads":70000,"items":[]})",
+       ErrorCode::InvalidArgument,
+       R"(field "threads" must be a small non-negative integer)"},
+      {R"({"v":1,"op":"batch","threads":-1,"items":[]})",
+       ErrorCode::InvalidArgument,
+       R"(field "threads" must be a small non-negative integer)"},
+      {R"({"v":1,"op":"batch","threads":"2","items":[]})",
+       ErrorCode::InvalidArgument, R"(field "threads" must be a finite number)"},
+      {R"({"v":1,"op":"batch"})", ErrorCode::InvalidArgument,
+       R"(missing field "items")"},
+      {R"({"v":1,"op":"batch","items":{}})", ErrorCode::InvalidArgument,
+       R"(field "items" must be an array)"},
+      {R"({"v":1,"op":"batch","items":[1]})", ErrorCode::InvalidArgument,
+       "batch item 0 must be an object"},
+      {R"({"v":1,"op":"batch","items":[{"problem":"cdpf","model":""},{"problem":"cdpf"}]})",
+       ErrorCode::InvalidArgument, R"(batch item 1: missing field "model")"},
+      {R"({"v":1,"op":"batch","items":[{"problem":"cdpf","model":"","op":"solve"}]})",
+       ErrorCode::InvalidArgument, "batch item 0: unknown field"},
+      {R"({"v":1,"op":"batch","items":[{"problem":"cdpf","model":"","x":1}]})",
+       ErrorCode::InvalidArgument, "batch item 0: unknown field"},
+      {R"({"v":1,"op":"edit","session":-1,"edit":"set-cost","target":"a","value":1})",
+       ErrorCode::InvalidArgument,
+       R"(field "session" must be a non-negative integer)"},
+      {R"({"v":1,"op":"edit","session":1.5,"edit":"set-cost","target":"a","value":1})",
+       ErrorCode::InvalidArgument,
+       R"(field "session" must be a non-negative integer)"},
+      {R"({"v":1,"op":"edit","edit":"set-cost","target":"a","value":1})",
+       ErrorCode::InvalidArgument, R"(missing field "session")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"warp","target":"a"})",
+       ErrorCode::InvalidArgument,
+       "unknown edit op 'warp' (expected set-cost, set-prob, set-damage, "
+       "toggle-defense, or replace-subtree)"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"set-cost"})",
+       ErrorCode::InvalidArgument, R"(missing field "target")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"set-cost","target":"a"})",
+       ErrorCode::InvalidArgument, R"(edit set-cost needs a finite "value")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"set-prob","target":"a","value":"1"})",
+       ErrorCode::InvalidArgument, R"(field "value" must be a finite number)"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"toggle-defense","target":"a","value":3})",
+       ErrorCode::InvalidArgument, R"(edit toggle-defense takes no "value")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"replace-subtree","target":"a"})",
+       ErrorCode::InvalidArgument, R"(edit replace-subtree needs a "model")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"set-damage","target":"a","value":1,"model":"m"})",
+       ErrorCode::InvalidArgument, R"(edit set-damage takes no "model")"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"replace-subtree","target":"a","model":3})",
+       ErrorCode::InvalidArgument, R"(field "model" must be a string)"},
+      {R"({"v":1,"op":"edit","session":1,"edit":"set-cost","target":"a","value":1,"extra":0})",
+       ErrorCode::InvalidArgument, R"(unknown field "extra" for op 'edit')"},
+      {R"({"v":1,"op":"resolve"})", ErrorCode::InvalidArgument,
+       R"(missing field "session")"},
+      {R"({"v":1,"op":"close","session":"1"})", ErrorCode::InvalidArgument,
+       R"(field "session" must be a non-negative integer)"},
+      {R"({"v":1,"op":"snapshot-save"})", ErrorCode::InvalidArgument,
+       R"(missing field "path")"},
+      {R"({"v":1,"op":"snapshot-load","path":1})", ErrorCode::InvalidArgument,
+       R"(field "path" must be a string)"},
+      {R"({"v":1,"op":"stats","x":1})", ErrorCode::InvalidArgument,
+       R"(unknown field "x" for op 'stats')"},
+      {R"({"v":1,"op":"quit","trace":1})", ErrorCode::MalformedRequest,
+       R"(field "trace" must be a boolean)"},
+      {R"({"v":1,"op":"frobnicate"})", ErrorCode::UnknownOperation,
+       "unknown op 'frobnicate' (expected solve, batch, open, edit, resolve, "
+       "close, sweep, sensitivity, portfolio, stats, metrics, snapshot-save, "
+       "snapshot-load, or quit)"},
+      {R"({"v":1,"op":7})", ErrorCode::MalformedRequest,
+       R"(missing envelope field "op")"},
+      {R"({"v":2,"op":"stats"})", ErrorCode::UnsupportedVersion,
+       "unsupported envelope version (this server speaks v1)"},
+      {R"({"v":1,"op":"quit","id":[1]})", ErrorCode::MalformedRequest,
+       R"(field "id" must be a string or number)"},
+  };
+  for (const auto& row : rejects) {
+    const Decoded<Request> dec = decode_request(row.line);
+    EXPECT_EQ(dec.code, row.code) << row.line;
+    EXPECT_EQ(dec.error, row.message) << row.line;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Malformed-request handling: every bad input yields a typed error,
 // never a crash or a silent drop, and the serving loop keeps going.
 // ---------------------------------------------------------------------------

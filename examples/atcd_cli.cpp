@@ -466,7 +466,8 @@ int main(int argc, char** argv) {
     return run(dispatcher, make_spec(engine::Problem::Cedpf, 0.0, false),
                "E[damage]", ro);
   if (cmd == "dgc" && argc >= 4) {
-    const double budget = std::atof(argv[3]);
+    double budget = 0.0;
+    if (!parse_number("dgc", argv[3], &budget)) return usage();
     return run(dispatcher,
                make_spec(use_prob ? engine::Problem::Edgc
                                   : engine::Problem::Dgc,
@@ -474,7 +475,8 @@ int main(int argc, char** argv) {
                use_prob ? "E[damage]" : "damage", ro);
   }
   if (cmd == "cgd" && argc >= 4) {
-    const double threshold = std::atof(argv[3]);
+    double threshold = 0.0;
+    if (!parse_number("cgd", argv[3], &threshold)) return usage();
     return run(dispatcher,
                make_spec(use_prob ? engine::Problem::Cged
                                   : engine::Problem::Cgd,

@@ -67,8 +67,10 @@
 
 #include <sys/stat.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,6 +167,57 @@ class PeriodicSaver {
   std::thread thread_;
 };
 
+/// Prints the usage text; returns the usage exit code.
+int usage() {
+  std::fprintf(stderr,
+               "usage: atcd_server [--timing] [--threads N] "
+               "[--slow-ms N] [--trace-dir D] [--trace-max-files N] "
+               "[--listen host:port] [--http] [--max-conns N] "
+               "[--max-line-bytes N] [--max-queue N] "
+               "[--shards N] [--entries N] [--bytes N] [--no-cache] "
+               "[--subtree-entries N] [--subtree-bytes N] "
+               "[--no-subtree-cache] "
+               "[--snapshot FILE] [--snapshot-interval-s N] "
+               "[--router --shard host:port ...]\n"
+               "Serves the solve API on stdin/stdout in the v1 JSON "
+               "envelope (pipelined when --threads > 1).  With --listen, a "
+               "multi-client TCP (or, with --http, HTTP/1.1) server "
+               "speaking the same envelope.  --snapshot FILE loads the "
+               "cache snapshot on boot (if present) and saves it on "
+               "shutdown; --snapshot-interval-s N also saves every N "
+               "seconds.  --router turns the binary into a "
+               "shard-by-model-hash front door over the given --shard "
+               "workers (no local solver).  See the README's \"Network "
+               "transport\" and \"Persistence & scale-out\" sections.\n");
+  return 2;
+}
+
+/// Strict: the whole of \p s is a decimal count no larger than \p max
+/// (strtoull alone reads "two" as 0 and "-1" as a huge count).
+bool parse_count(const char* s, unsigned long long max,
+                 unsigned long long* out) {
+  if (std::strchr(s, '-')) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v > max) return false;
+  *out = v;
+  return true;
+}
+
+/// host:port with a numeric port in 0..65535 (0 = ephemeral).
+bool parse_address(const std::string& spec, std::string* host,
+                   std::uint16_t* port) {
+  const std::size_t colon = spec.rfind(':');
+  unsigned long long p = 0;
+  if (colon == std::string::npos ||
+      !parse_count(spec.c_str() + colon + 1, 65535, &p))
+    return false;
+  *host = spec.substr(0, colon);
+  *port = static_cast<std::uint16_t>(p);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -177,90 +230,82 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   long snapshot_interval_s = 0;
   std::size_t threads = 0;
+  // A numeric flag value that does not parse is a usage error, never a
+  // silent 0.
+  bool bad = false;
+  const auto count = [&](int* i, std::size_t* out) {
+    unsigned long long v = 0;
+    if (parse_count(argv[++*i], SIZE_MAX, &v))
+      *out = static_cast<std::size_t>(v);
+    else
+      bad = true;
+  };
+  const auto number = [&](int* i, auto* out, auto parse) {
+    const char* s = argv[++*i];
+    char* end = nullptr;
+    errno = 0;
+    *out = parse(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE) bad = true;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--timing") == 0)
       jopt.timing = true;
     else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "atcd_server: --listen wants host:port\n");
-        return 2;
-      }
-      nopt.host = spec.substr(0, colon);
-      nopt.port = static_cast<std::uint16_t>(
-          std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+      bad = !parse_address(argv[++i], &nopt.host, &nopt.port);
       listen = true;
     } else if (std::strcmp(argv[i], "--http") == 0)
       nopt.http = true;
     else if (std::strcmp(argv[i], "--max-conns") == 0 && i + 1 < argc)
-      nopt.max_conns = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &nopt.max_conns);
     else if (std::strcmp(argv[i], "--max-line-bytes") == 0 && i + 1 < argc)
-      jopt.max_line_bytes = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &jopt.max_line_bytes);
     else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc)
-      jopt.max_queue = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &jopt.max_queue);
     else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc)
-      opt.service.cache.shards = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.service.cache.shards);
     else if (std::strcmp(argv[i], "--entries") == 0 && i + 1 < argc)
-      opt.service.cache.max_entries = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.service.cache.max_entries);
     else if (std::strcmp(argv[i], "--bytes") == 0 && i + 1 < argc)
-      opt.service.cache.max_bytes = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.service.cache.max_bytes);
     else if (std::strcmp(argv[i], "--no-cache") == 0)
       opt.service.enable_cache = false;
     else if (std::strcmp(argv[i], "--subtree-entries") == 0 && i + 1 < argc)
-      opt.service.subtree.max_entries = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.service.subtree.max_entries);
     else if (std::strcmp(argv[i], "--subtree-bytes") == 0 && i + 1 < argc)
-      opt.service.subtree.max_bytes = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.service.subtree.max_bytes);
     else if (std::strcmp(argv[i], "--no-subtree-cache") == 0)
       opt.service.enable_subtree_cache = false;
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::strtoull(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--slow-ms") == 0 && i + 1 < argc)
-      opt.slow_request_micros = std::strtod(argv[++i], nullptr) * 1000.0;
-    else if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc)
+      count(&i, &threads);
+    else if (std::strcmp(argv[i], "--slow-ms") == 0 && i + 1 < argc) {
+      number(&i, &opt.slow_request_micros,
+             [](const char* s, char** end) { return std::strtod(s, end); });
+      opt.slow_request_micros *= 1000.0;
+    } else if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc)
       opt.trace_dir = argv[++i];
     else if (std::strcmp(argv[i], "--trace-max-files") == 0 && i + 1 < argc)
-      opt.trace_max_files = std::strtoull(argv[++i], nullptr, 10);
+      count(&i, &opt.trace_max_files);
     else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc)
       snapshot_path = argv[++i];
     else if (std::strcmp(argv[i], "--snapshot-interval-s") == 0 &&
              i + 1 < argc)
-      snapshot_interval_s = std::strtol(argv[++i], nullptr, 10);
+      number(&i, &snapshot_interval_s, [](const char* s, char** end) {
+        return std::strtol(s, end, 10);
+      });
     else if (std::strcmp(argv[i], "--router") == 0)
       router = true;
     else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "atcd_server: --shard wants host:port\n");
-        return 2;
-      }
-      shard_addrs.push_back(
-          {spec.substr(0, colon),
-           static_cast<std::uint16_t>(
-               std::strtoul(spec.c_str() + colon + 1, nullptr, 10))});
+      atcd::net::ShardAddress shard;
+      bad = !parse_address(argv[++i], &shard.host, &shard.port);
+      shard_addrs.push_back(std::move(shard));
     } else {
-      std::fprintf(stderr,
-                   "usage: atcd_server [--timing] [--threads N] "
-                   "[--slow-ms N] [--trace-dir D] [--trace-max-files N] "
-                   "[--listen host:port] [--http] [--max-conns N] "
-                   "[--max-line-bytes N] [--max-queue N] "
-                   "[--shards N] [--entries N] [--bytes N] [--no-cache] "
-                   "[--subtree-entries N] [--subtree-bytes N] "
-                   "[--no-subtree-cache] "
-                   "[--snapshot FILE] [--snapshot-interval-s N] "
-                   "[--router --shard host:port ...]\n"
-                   "Serves the solve API on stdin/stdout in the v1 JSON "
-                   "envelope (pipelined when --threads > 1).  With --listen, a "
-                   "multi-client TCP (or, with --http, HTTP/1.1) server "
-                   "speaking the same envelope.  --snapshot FILE loads the "
-                   "cache snapshot on boot (if present) and saves it on "
-                   "shutdown; --snapshot-interval-s N also saves every N "
-                   "seconds.  --router turns the binary into a "
-                   "shard-by-model-hash front door over the given --shard "
-                   "workers (no local solver).  See the README's \"Network "
-                   "transport\" and \"Persistence & scale-out\" sections.\n");
+      usage();
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
+    }
+    if (bad) {
+      std::fprintf(stderr, "atcd_server: bad value '%s' for %s\n", argv[i],
+                   argv[i - 1]);
+      return usage();
     }
   }
   opt.service.batch.threads = threads;

@@ -72,39 +72,10 @@ std::optional<EditOp> parse_edit_op(const std::string& name) {
   return std::nullopt;
 }
 
-namespace {
+const char* op_name(const Operation& op) { return kOpNames[op.index()]; }
 
-struct OpNameVisitor {
-  const char* operator()(const SolveRequest&) const { return "solve"; }
-  const char* operator()(const BatchRequest&) const { return "batch"; }
-  const char* operator()(const SessionOpenRequest&) const { return "open"; }
-  const char* operator()(const SessionEditRequest&) const { return "edit"; }
-  const char* operator()(const SessionResolveRequest&) const {
-    return "resolve";
-  }
-  const char* operator()(const SessionCloseRequest&) const { return "close"; }
-  const char* operator()(const AnalyzeSweepRequest&) const { return "sweep"; }
-  const char* operator()(const AnalyzeSensitivityRequest&) const {
-    return "sensitivity";
-  }
-  const char* operator()(const AnalyzePortfolioRequest&) const {
-    return "portfolio";
-  }
-  const char* operator()(const StatsRequest&) const { return "stats"; }
-  const char* operator()(const MetricsRequest&) const { return "metrics"; }
-  const char* operator()(const ShutdownRequest&) const { return "quit"; }
-  const char* operator()(const SnapshotSaveRequest&) const {
-    return "snapshot-save";
-  }
-  const char* operator()(const SnapshotLoadRequest&) const {
-    return "snapshot-load";
-  }
-};
-
-}  // namespace
-
-const char* op_name(const Operation& op) {
-  return std::visit(OpNameVisitor{}, op);
+std::optional<Operation> make_operation(std::string_view name) {
+  return detail::alternative_named<Operation>(kOpNames, name);
 }
 
 std::optional<engine::Problem> parse_problem(const std::string& name) {

@@ -25,10 +25,13 @@
 /// the CLI, the server, benches, and any future transport cannot drift:
 /// an operation either exists here, typed, or it does not exist.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -209,8 +212,41 @@ using Operation =
                  StatsRequest, MetricsRequest, ShutdownRequest,
                  SnapshotSaveRequest, SnapshotLoadRequest>;
 
+/// Wire name of each operation, indexed by Operation alternative: the one
+/// place an op's name is spelled (codec, per-op histograms, op_name()).
+inline constexpr const char* kOpNames[] = {
+    "solve",         "batch",        "open",      "edit",
+    "resolve",       "close",        "sweep",     "sensitivity",
+    "portfolio",     "stats",        "metrics",   "quit",
+    "snapshot-save", "snapshot-load"};
+static_assert(std::size(kOpNames) == std::variant_size_v<Operation>,
+              "kOpNames must name every Operation alternative");
+
 /// Stable wire name of an operation ("solve", "batch", "open", ...).
 const char* op_name(const Operation& op);
+
+/// The default-constructed operation whose wire name is \p name;
+/// nullopt for a name not in kOpNames.
+std::optional<Operation> make_operation(std::string_view name);
+
+namespace detail {
+
+/// The default-constructed alternative of \p Variant at the index whose
+/// entry of \p names (one per alternative; null = no name) is \p name.
+template <class Variant, std::size_t N>
+std::optional<Variant> alternative_named(const char* const (&names)[N],
+                                         std::string_view name) {
+  static_assert(N == std::variant_size_v<Variant>);
+  std::optional<Variant> out;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((names[I] && name == names[I] &&
+      (out.emplace(std::in_place_index<I>), true)) ||
+     ...);
+  }(std::make_index_sequence<N>{});
+  return out;
+}
+
+}  // namespace detail
 
 /// Parses a wire problem name (as printed by engine::to_string):
 /// cdpf | dgc | cgd | cedpf | edgc | cged.

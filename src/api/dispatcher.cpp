@@ -140,20 +140,6 @@ void parse_typed(engine::Problem problem, const std::string& text,
 
 }  // namespace
 
-namespace {
-
-/// Wire names by Operation alternative index, for the per-op histogram
-/// names; must stay aligned with the variant (op_name() agrees).
-constexpr const char* kOpNames[] = {
-    "solve",  "batch",       "open",      "edit",  "resolve", "close",
-    "sweep",  "sensitivity", "portfolio", "stats", "metrics", "quit",
-    "snapshot-save", "snapshot-load"};
-static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) ==
-                  std::variant_size_v<Operation>,
-              "kOpNames must cover every Operation alternative");
-
-}  // namespace
-
 Dispatcher::Dispatcher() : Dispatcher(Options{}) {}
 
 Dispatcher::Dispatcher(Options options)

@@ -1,10 +1,14 @@
 #include "api/json.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <type_traits>
+#include <variant>
 
 #include "analysis/analysis.hpp"
 
@@ -411,13 +415,11 @@ class Obj {
   bool first_ = true;
 };
 
-std::string quoted(const std::string& s) { return json::dump_string(s); }
-
 std::string string_array(const std::vector<std::string>& xs) {
   std::string out = "[";
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i) out += ',';
-    out += quoted(xs[i]);
+    json::append_string(&out, xs[i]);
   }
   out += ']';
   return out;
@@ -430,410 +432,220 @@ std::string hash_hex(service::CanonHash h) {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// Request encoding.
-// ---------------------------------------------------------------------------
-
-void encode_spec_fields(Obj* o, const SolveSpec& s) {
-  o->str("problem", engine::to_string(s.problem));
-  if (s.has_bound) o->num("bound", s.bound);
-  if (!s.engine.empty()) o->str("engine", s.engine);
-  o->str("model", s.model);
+/// A JSON number that is a non-negative integer.  Capped at 2^53: a
+/// larger double is not exactly representable and the cast would be
+/// undefined behavior.
+bool as_uint(const Value& v, std::uint64_t* out) {
+  if (v.kind != Value::Kind::Number || v.number < 0.0 ||
+      std::floor(v.number) != v.number || v.number > 9.007199254740992e15)
+    return false;
+  *out = static_cast<std::uint64_t>(v.number);
+  return true;
 }
 
-std::string encode_spec(const SolveSpec& s) {
-  Obj o;
-  encode_spec_fields(&o, s);
-  return o.close();
+bool takes_value(EditOp op) {
+  return op == EditOp::SetCost || op == EditOp::SetProb ||
+         op == EditOp::SetDamage;
 }
 
-struct RequestEncoder {
+/// The range an optional request number must lie in, as its decode
+/// error names it ("bad <key> (must be <text>)").
+struct Rule {
+  bool (*holds)(double);
+  const char* text;
+};
+const Rule kFinite{[](double x) { return std::isfinite(x); }, "finite"};
+const Rule kPositive{[](double x) { return std::isfinite(x) && x > 0.0; },
+                     "> 0"};
+const Rule kNonNegative{
+    [](double x) { return std::isfinite(x) && x >= 0.0; }, ">= 0"};
+
+// ---------------------------------------------------------------------------
+// Member lists: the one description of each request op and of each
+// response object without custom code.  Both directions visit them, so a
+// member's name, order and presence rule live in exactly one place; the
+// call order is the encoding order and the order in which the request
+// decoder reports the first bad member.
+// ---------------------------------------------------------------------------
+
+/// Request members of each op (stats, metrics and quit have none).
+template <class V, class R>
+void fields(V& v, R& r) {
+  using T = std::remove_const_t<R>;
+  if constexpr (std::is_same_v<T, SolveSpec>) {
+    v.req("problem", r.problem);
+    v.opt("bound", r.bound, r.has_bound, kFinite);
+    v.opt("engine", r.engine);
+    v.req("model", r.model);
+  } else if constexpr (std::is_same_v<T, SolveRequest> ||
+                       std::is_same_v<T, SessionOpenRequest>) {
+    fields(v, r.spec);
+  } else if constexpr (std::is_same_v<T, BatchRequest>) {
+    v.opt("threads", r.threads);
+    v.items("items", r.items);
+  } else if constexpr (std::is_same_v<T, SessionEditRequest>) {
+    v.req("session", r.session);
+    v.req("edit", r.op);
+    v.req("target", r.target);
+    v.operand("value", r.value, takes_value(r.op), r.op);
+    v.operand("model", r.model, r.op == EditOp::ReplaceSubtree, r.op);
+  } else if constexpr (std::is_same_v<T, SessionResolveRequest> ||
+                       std::is_same_v<T, SessionCloseRequest>) {
+    v.req("session", r.session);
+  } else if constexpr (std::is_same_v<T, AnalyzeSweepRequest>) {
+    v.req("problem", r.problem);
+    v.req("axes", r.axes);
+    v.opt("bound", r.bound, r.has_bound, kFinite);
+    v.opt("engine", r.engine);
+    v.req("model", r.model);
+  } else if constexpr (std::is_same_v<T, AnalyzeSensitivityRequest>) {
+    v.req("problem", r.problem);
+    v.opt("step", r.step, r.has_step, kPositive);
+    v.opt("engine", r.engine);
+    v.req("model", r.model);
+  } else if constexpr (std::is_same_v<T, AnalyzePortfolioRequest>) {
+    v.req("problem", r.problem);
+    v.req("defenses", r.defenses);
+    v.opt("budget", r.budget, r.has_budget, kNonNegative);
+    v.opt("bound", r.bound, r.has_bound, kFinite);
+    v.opt("engine", r.engine);
+    v.req("model", r.model);
+  } else if constexpr (std::is_same_v<T, SnapshotSaveRequest> ||
+                       std::is_same_v<T, SnapshotLoadRequest>) {
+    v.req("path", r.path);
+  }
+}
+
+/// Response members of the counter objects and of the payloads whose
+/// "kind" (kKinds) is their only other member.  Every member is
+/// written; the lenient decoder requires only the req() ones.
+template <class V, class P>
+void members(V& v, P& p) {
+  using T = std::remove_const_t<P>;
+  if constexpr (std::is_same_v<T, service::ResultCache::Stats> ||
+                std::is_same_v<T, service::SubtreeCache::Stats>) {
+    v.field("hits", p.hits);
+    v.field("misses", p.misses);
+    v.field("insertions", p.insertions);
+    v.field("evictions", p.evictions);
+    v.field("collisions", p.collisions);
+    v.field("entries", p.entries);
+    v.field("bytes", p.bytes);
+  } else if constexpr (std::is_same_v<T, DispatchCounters>) {
+    v.field("requests", p.requests);
+    v.field("solves", p.solves);
+    v.field("batches", p.batches);
+    v.field("session_opens", p.session_opens);
+    v.field("session_edits", p.session_edits);
+    v.field("session_resolves", p.session_resolves);
+    v.field("session_closes", p.session_closes);
+    v.field("analyses", p.analyses);
+    v.field("errors", p.errors);
+  } else if constexpr (std::is_same_v<T, PersistCounters>) {
+    v.field("saves", p.saves);
+    v.field("loads", p.loads);
+    v.field("save_errors", p.save_errors);
+    v.field("load_errors", p.load_errors);
+    v.field("snapshot_bytes", p.snapshot_bytes);
+  } else if constexpr (std::is_same_v<T, LatencySummary>) {
+    v.field("count", p.count);
+    v.field("sum_micros", p.sum_micros);
+    v.field("p50", p.p50);
+    v.field("p95", p.p95);
+    v.field("p99", p.p99);
+  } else if constexpr (std::is_same_v<T, SessionOpenedPayload>) {
+    v.req("session", p.session);
+  } else if constexpr (std::is_same_v<T, StatsPayload>) {
+    v.obj("cache", p.cache);
+    v.obj("subtree", p.subtree);
+    v.field("sessions", p.sessions);
+    v.obj("api", p.api);
+    v.obj("persist", p.persist);
+    // Wall-clock data, gated like the envelope's micros field: stats
+    // responses stay byte-deterministic when timing echo is off.
+    if (v.timing()) v.obj("latency", p.latency);
+  } else if constexpr (std::is_same_v<T, ShutdownPayload>) {
+    v.field("handled", p.handled);
+  } else if constexpr (std::is_same_v<T, SnapshotPayload>) {
+    v.req("action", p.action);
+    v.field("path", p.path);
+    v.field("result_entries", p.result_entries);
+    v.field("subtree_entries", p.subtree_entries);
+    v.field("file_bytes", p.file_bytes);
+  }
+}
+
+/// The "kind" member of each Payload alternative.  An empty payload has
+/// none; a solve payload's is "front" or "attack" (SolvePayload::is_front).
+constexpr const char* kKinds[] = {
+    nullptr,    nullptr,  "batch", "session",  "edited",  "closed",
+    "analysis", "stats",  "metrics", "shutdown", "snapshot"};
+static_assert(std::size(kKinds) == std::variant_size_v<Payload>,
+              "kKinds must cover every Payload alternative");
+
+// ---------------------------------------------------------------------------
+// Encoding.
+// ---------------------------------------------------------------------------
+
+/// Writes the members fields() and members() name, in their order,
+/// leaving out absent optional request members.
+struct Encoder {
   Obj& o;
+  bool with_timing = false;
 
-  void operator()(const SolveRequest& r) { encode_spec_fields(&o, r.spec); }
-  void operator()(const BatchRequest& r) {
-    if (r.threads != 0) o.uint("threads", r.threads);
-    std::string items = "[";
-    for (std::size_t i = 0; i < r.items.size(); ++i) {
-      if (i) items += ',';
-      items += encode_spec(r.items[i]);
+  void req(const char* key, const std::string& x) { o.str(key, x); }
+  void req(const char* key, std::uint64_t x) { o.uint(key, x); }
+  void req(const char* key, engine::Problem x) {
+    o.str(key, engine::to_string(x));
+  }
+  void req(const char* key, EditOp x) { o.str(key, to_string(x)); }
+  void req(const char* key, const std::vector<std::string>& xs) {
+    o.raw(key, string_array(xs));
+  }
+  void opt(const char* key, const std::string& x) {
+    if (!x.empty()) o.str(key, x);
+  }
+  void opt(const char* key, double x, bool present, const Rule&) {
+    if (present) o.num(key, x);
+  }
+  /// A count where 0 means "absent" (BatchRequest::threads).
+  void opt(const char* key, std::size_t x) {
+    if (x != 0) o.uint(key, x);
+  }
+  void items(const char* key, const std::vector<SolveSpec>& specs) {
+    std::string& out = o.member(key);
+    out += '[';
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (i) out += ',';
+      Obj item;
+      Encoder e{item};
+      fields(e, specs[i]);
+      out += item.close();
     }
-    items += ']';
-    o.raw("items", items);
+    out += ']';
   }
-  void operator()(const SessionOpenRequest& r) {
-    encode_spec_fields(&o, r.spec);
+  void operand(const char* key, double x, bool wanted, EditOp) {
+    if (wanted) o.num(key, x);
   }
-  void operator()(const SessionEditRequest& r) {
-    o.uint("session", r.session);
-    o.str("edit", to_string(r.op));
-    o.str("target", r.target);
-    if (r.op == EditOp::SetCost || r.op == EditOp::SetProb ||
-        r.op == EditOp::SetDamage)
-      o.num("value", r.value);
-    if (r.op == EditOp::ReplaceSubtree) o.str("model", r.model);
+  void operand(const char* key, const std::string& x, bool wanted, EditOp) {
+    if (wanted) o.str(key, x);
   }
-  void operator()(const SessionResolveRequest& r) {
-    o.uint("session", r.session);
+
+  template <std::unsigned_integral U>
+  void field(const char* key, U x) {
+    o.uint(key, x);
   }
-  void operator()(const SessionCloseRequest& r) { o.uint("session", r.session); }
-  void operator()(const AnalyzeSweepRequest& r) {
-    o.str("problem", engine::to_string(r.problem));
-    o.raw("axes", string_array(r.axes));
-    if (r.has_bound) o.num("bound", r.bound);
-    if (!r.engine.empty()) o.str("engine", r.engine);
-    o.str("model", r.model);
+  void field(const char* key, double x) { o.num(key, x); }
+  void field(const char* key, const std::string& x) { o.str(key, x); }
+  template <class S>
+  void obj(const char* key, const S& s) {
+    Obj nested;
+    Encoder e{nested, with_timing};
+    members(e, s);
+    o.raw(key, nested.close());
   }
-  void operator()(const AnalyzeSensitivityRequest& r) {
-    o.str("problem", engine::to_string(r.problem));
-    if (r.has_step) o.num("step", r.step);
-    if (!r.engine.empty()) o.str("engine", r.engine);
-    o.str("model", r.model);
-  }
-  void operator()(const AnalyzePortfolioRequest& r) {
-    o.str("problem", engine::to_string(r.problem));
-    o.raw("defenses", string_array(r.defenses));
-    if (r.has_budget) o.num("budget", r.budget);
-    if (r.has_bound) o.num("bound", r.bound);
-    if (!r.engine.empty()) o.str("engine", r.engine);
-    o.str("model", r.model);
-  }
-  void operator()(const StatsRequest&) {}
-  void operator()(const MetricsRequest&) {}
-  void operator()(const ShutdownRequest&) {}
-  void operator()(const SnapshotSaveRequest& r) { o.str("path", r.path); }
-  void operator()(const SnapshotLoadRequest& r) { o.str("path", r.path); }
+  bool timing() const { return with_timing; }
 };
-
-// ---------------------------------------------------------------------------
-// Request decoding.
-// ---------------------------------------------------------------------------
-
-/// Strict field cursor over one object: typed getters mark fields
-/// consumed; leftover() names any member the op does not define.
-class Fields {
- public:
-  explicit Fields(const Value& obj) : obj_(obj), used_(obj.members.size()) {}
-
-  const Value* get(const std::string& key) {
-    for (std::size_t i = 0; i < obj_.members.size(); ++i)
-      if (obj_.members[i].first == key) {
-        used_[i] = true;
-        return &obj_.members[i].second;
-      }
-    return nullptr;
-  }
-
-  /// First member not consumed and not in the envelope set; empty when
-  /// everything was recognized.
-  std::string leftover() const {
-    for (std::size_t i = 0; i < obj_.members.size(); ++i) {
-      const std::string& k = obj_.members[i].first;
-      if (!used_[i] && k != "v" && k != "id" && k != "op") return k;
-    }
-    return {};
-  }
-
- private:
-  const Value& obj_;
-  std::vector<char> used_;
-};
-
-struct FieldError {
-  ErrorCode code = ErrorCode::Ok;
-  std::string message;
-  bool ok() const { return code == ErrorCode::Ok; }
-  static FieldError invalid(std::string m) {
-    return {ErrorCode::InvalidArgument, std::move(m)};
-  }
-};
-
-FieldError require_string(Fields& f, const char* key, std::string* out) {
-  const Value* v = f.get(key);
-  if (!v) return FieldError::invalid(std::string("missing field \"") + key +
-                                     "\"");
-  if (v->kind != Value::Kind::String)
-    return FieldError::invalid(std::string("field \"") + key +
-                               "\" must be a string");
-  *out = v->string;
-  return {};
-}
-
-FieldError optional_string(Fields& f, const char* key, std::string* out) {
-  const Value* v = f.get(key);
-  if (!v) return {};
-  if (v->kind != Value::Kind::String)
-    return FieldError::invalid(std::string("field \"") + key +
-                               "\" must be a string");
-  *out = v->string;
-  return {};
-}
-
-FieldError optional_number(Fields& f, const char* key, double* out,
-                           bool* present) {
-  const Value* v = f.get(key);
-  if (!v) return {};
-  if (v->kind != Value::Kind::Number)
-    return FieldError::invalid(std::string("field \"") + key +
-                               "\" must be a finite number");
-  *out = v->number;
-  if (present) *present = true;
-  return {};
-}
-
-FieldError require_uint(Fields& f, const char* key, std::uint64_t* out) {
-  const Value* v = f.get(key);
-  if (!v) return FieldError::invalid(std::string("missing field \"") + key +
-                                     "\"");
-  if (v->kind != Value::Kind::Number || v->number < 0.0 ||
-      std::floor(v->number) != v->number || v->number > 9.007199254740992e15)
-    return FieldError::invalid(std::string("field \"") + key +
-                               "\" must be a non-negative integer");
-  *out = static_cast<std::uint64_t>(v->number);
-  return {};
-}
-
-FieldError require_string_array(Fields& f, const char* key,
-                                std::vector<std::string>* out) {
-  const Value* v = f.get(key);
-  if (!v) return FieldError::invalid(std::string("missing field \"") + key +
-                                     "\"");
-  if (v->kind != Value::Kind::Array)
-    return FieldError::invalid(std::string("field \"") + key +
-                               "\" must be an array of strings");
-  for (const Value& item : v->items) {
-    if (item.kind != Value::Kind::String)
-      return FieldError::invalid(std::string("field \"") + key +
-                                 "\" must be an array of strings");
-    out->push_back(item.string);
-  }
-  return {};
-}
-
-FieldError decode_problem(Fields& f, engine::Problem* out) {
-  std::string name;
-  if (FieldError e = require_string(f, "problem", &name); !e.ok()) return e;
-  const auto p = parse_problem(name);
-  if (!p)
-    return FieldError::invalid("unknown problem '" + name +
-                               "' (expected cdpf|dgc|cgd|cedpf|edgc|cged)");
-  *out = *p;
-  return {};
-}
-
-FieldError decode_spec(Fields& f, SolveSpec* out) {
-  if (FieldError e = decode_problem(f, &out->problem); !e.ok()) return e;
-  if (FieldError e = optional_number(f, "bound", &out->bound,
-                                     &out->has_bound);
-      !e.ok())
-    return e;
-  if (out->has_bound && !std::isfinite(out->bound))
-    return FieldError::invalid("bad bound (must be finite)");
-  if (FieldError e = optional_string(f, "engine", &out->engine); !e.ok())
-    return e;
-  return require_string(f, "model", &out->model);
-}
-
-FieldError decode_operation(const std::string& op, Fields& f,
-                            Operation* out) {
-  if (op == "solve") {
-    SolveRequest r;
-    if (FieldError e = decode_spec(f, &r.spec); !e.ok()) return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "batch") {
-    BatchRequest r;
-    double threads = 0.0;
-    bool has_threads = false;
-    if (FieldError e = optional_number(f, "threads", &threads, &has_threads);
-        !e.ok())
-      return e;
-    if (has_threads) {
-      if (threads < 0.0 || std::floor(threads) != threads ||
-          threads > 65536.0)
-        return FieldError::invalid(
-            "field \"threads\" must be a small non-negative integer");
-      r.threads = static_cast<std::size_t>(threads);
-    }
-    const Value* items = f.get("items");
-    if (!items) return FieldError::invalid("missing field \"items\"");
-    if (items->kind != Value::Kind::Array)
-      return FieldError::invalid("field \"items\" must be an array");
-    for (std::size_t i = 0; i < items->items.size(); ++i) {
-      const Value& item = items->items[i];
-      if (item.kind != Value::Kind::Object)
-        return FieldError::invalid("batch item " + std::to_string(i) +
-                                   " must be an object");
-      Fields g(item);
-      SolveSpec spec;
-      if (FieldError e = decode_spec(g, &spec); !e.ok())
-        return FieldError::invalid("batch item " + std::to_string(i) + ": " +
-                                   e.message);
-      // Items reuse the spec field set, but have no envelope of their
-      // own — leftover() must not excuse v/id/op here.
-      if (item.find("v") || item.find("id") || item.find("op") ||
-          !g.leftover().empty())
-        return FieldError::invalid("batch item " + std::to_string(i) +
-                                   ": unknown field");
-      r.items.push_back(std::move(spec));
-    }
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "open") {
-    SessionOpenRequest r;
-    if (FieldError e = decode_spec(f, &r.spec); !e.ok()) return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "edit") {
-    SessionEditRequest r;
-    if (FieldError e = require_uint(f, "session", &r.session); !e.ok())
-      return e;
-    std::string edit;
-    if (FieldError e = require_string(f, "edit", &edit); !e.ok()) return e;
-    const auto eop = parse_edit_op(edit);
-    if (!eop)
-      return FieldError::invalid(
-          "unknown edit op '" + edit +
-          "' (expected set-cost, set-prob, set-damage, toggle-defense, or "
-          "replace-subtree)");
-    r.op = *eop;
-    if (FieldError e = require_string(f, "target", &r.target); !e.ok())
-      return e;
-    const bool needs_value = r.op == EditOp::SetCost ||
-                             r.op == EditOp::SetProb ||
-                             r.op == EditOp::SetDamage;
-    bool has_value = false;
-    if (FieldError e = optional_number(f, "value", &r.value, &has_value);
-        !e.ok())
-      return e;
-    if (needs_value && (!has_value || !std::isfinite(r.value)))
-      return FieldError::invalid("edit " + edit +
-                                 " needs a finite \"value\"");
-    if (!needs_value && has_value)
-      return FieldError::invalid("edit " + edit + " takes no \"value\"");
-    std::string model;
-    bool has_model = false;
-    if (const Value* v = f.get("model")) {
-      if (v->kind != Value::Kind::String)
-        return FieldError::invalid("field \"model\" must be a string");
-      model = v->string;
-      has_model = true;
-    }
-    if (r.op == EditOp::ReplaceSubtree && !has_model)
-      return FieldError::invalid("edit replace-subtree needs a \"model\"");
-    if (r.op != EditOp::ReplaceSubtree && has_model)
-      return FieldError::invalid("edit " + edit + " takes no \"model\"");
-    r.model = std::move(model);
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "resolve") {
-    SessionResolveRequest r;
-    if (FieldError e = require_uint(f, "session", &r.session); !e.ok())
-      return e;
-    *out = r;
-    return {};
-  }
-  if (op == "close") {
-    SessionCloseRequest r;
-    if (FieldError e = require_uint(f, "session", &r.session); !e.ok())
-      return e;
-    *out = r;
-    return {};
-  }
-  if (op == "sweep") {
-    AnalyzeSweepRequest r;
-    if (FieldError e = decode_problem(f, &r.problem); !e.ok()) return e;
-    if (FieldError e = require_string_array(f, "axes", &r.axes); !e.ok())
-      return e;
-    if (FieldError e = optional_number(f, "bound", &r.bound, &r.has_bound);
-        !e.ok())
-      return e;
-    if (r.has_bound && !std::isfinite(r.bound))
-      return FieldError::invalid("bad bound (must be finite)");
-    if (FieldError e = optional_string(f, "engine", &r.engine); !e.ok())
-      return e;
-    if (FieldError e = require_string(f, "model", &r.model); !e.ok())
-      return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "sensitivity") {
-    AnalyzeSensitivityRequest r;
-    if (FieldError e = decode_problem(f, &r.problem); !e.ok()) return e;
-    if (FieldError e = optional_number(f, "step", &r.step, &r.has_step);
-        !e.ok())
-      return e;
-    if (r.has_step && !(std::isfinite(r.step) && r.step > 0.0))
-      return FieldError::invalid("bad step (must be > 0)");
-    if (FieldError e = optional_string(f, "engine", &r.engine); !e.ok())
-      return e;
-    if (FieldError e = require_string(f, "model", &r.model); !e.ok())
-      return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "portfolio") {
-    AnalyzePortfolioRequest r;
-    if (FieldError e = decode_problem(f, &r.problem); !e.ok()) return e;
-    if (FieldError e = require_string_array(f, "defenses", &r.defenses);
-        !e.ok())
-      return e;
-    if (FieldError e = optional_number(f, "budget", &r.budget,
-                                       &r.has_budget);
-        !e.ok())
-      return e;
-    if (r.has_budget && !(std::isfinite(r.budget) && r.budget >= 0.0))
-      return FieldError::invalid("bad budget (must be >= 0)");
-    if (FieldError e = optional_number(f, "bound", &r.bound, &r.has_bound);
-        !e.ok())
-      return e;
-    if (r.has_bound && !std::isfinite(r.bound))
-      return FieldError::invalid("bad bound (must be finite)");
-    if (FieldError e = optional_string(f, "engine", &r.engine); !e.ok())
-      return e;
-    if (FieldError e = require_string(f, "model", &r.model); !e.ok())
-      return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "stats") {
-    *out = StatsRequest{};
-    return {};
-  }
-  if (op == "metrics") {
-    *out = MetricsRequest{};
-    return {};
-  }
-  if (op == "quit") {
-    *out = ShutdownRequest{};
-    return {};
-  }
-  if (op == "snapshot-save") {
-    SnapshotSaveRequest r;
-    if (FieldError e = require_string(f, "path", &r.path); !e.ok()) return e;
-    *out = std::move(r);
-    return {};
-  }
-  if (op == "snapshot-load") {
-    SnapshotLoadRequest r;
-    if (FieldError e = require_string(f, "path", &r.path); !e.ok()) return e;
-    *out = std::move(r);
-    return {};
-  }
-  return {ErrorCode::UnknownOperation,
-          "unknown op '" + op +
-              "' (expected solve, batch, open, edit, resolve, close, sweep, "
-              "sensitivity, portfolio, stats, metrics, snapshot-save, "
-              "snapshot-load, or quit)"};
-}
-
-// ---------------------------------------------------------------------------
-// Response encoding.
-// ---------------------------------------------------------------------------
 
 void encode_solve_fields(Obj* o, const SolvePayload& p) {
   o->str("kind", p.is_front ? "front" : "attack");
@@ -866,44 +678,6 @@ void encode_solve_fields(Obj* o, const SolvePayload& p) {
   }
 }
 
-/// Both cache Stats types share the same counter fields.
-template <typename Stats>
-std::string counter_obj(const Stats& c) {
-  Obj o;
-  o.uint("hits", c.hits);
-  o.uint("misses", c.misses);
-  o.uint("insertions", c.insertions);
-  o.uint("evictions", c.evictions);
-  o.uint("collisions", c.collisions);
-  o.uint("entries", c.entries);
-  o.uint("bytes", c.bytes);
-  return o.close();
-}
-
-std::string counter_obj(const PersistCounters& c) {
-  Obj o;
-  o.uint("saves", c.saves);
-  o.uint("loads", c.loads);
-  o.uint("save_errors", c.save_errors);
-  o.uint("load_errors", c.load_errors);
-  o.uint("snapshot_bytes", c.snapshot_bytes);
-  return o.close();
-}
-
-std::string counter_obj(const DispatchCounters& c) {
-  Obj o;
-  o.uint("requests", c.requests);
-  o.uint("solves", c.solves);
-  o.uint("batches", c.batches);
-  o.uint("session_opens", c.session_opens);
-  o.uint("session_edits", c.session_edits);
-  o.uint("session_resolves", c.session_resolves);
-  o.uint("session_closes", c.session_closes);
-  o.uint("analyses", c.analyses);
-  o.uint("errors", c.errors);
-  return o.close();
-}
-
 std::vector<std::string> table_rows(const std::string& table) {
   std::vector<std::string> rows;
   std::size_t start = 0;
@@ -916,93 +690,232 @@ std::vector<std::string> table_rows(const std::string& table) {
   return rows;
 }
 
-struct PayloadEncoder {
-  Obj& o;
-  bool with_timing = false;
-
-  void operator()(const std::monostate&) {}
-  void operator()(const SolvePayload& p) { encode_solve_fields(&o, p); }
-  void operator()(const BatchPayload& p) {
-    o.str("kind", "batch");
-    std::string items = "[";
-    for (std::size_t i = 0; i < p.items.size(); ++i) {
-      if (i) items += ',';
-      Obj q;
-      q.str("code", to_string(p.items[i].code));
-      if (p.items[i].code == ErrorCode::Ok)
-        encode_solve_fields(&q, p.items[i].solve);
-      else
-        q.str("error", p.items[i].error);
-      items += q.close();
-    }
-    items += ']';
-    o.raw("items", items);
+/// Payload members after "kind"; the ones without custom code come from
+/// members().
+template <class P>
+void encode_payload(Encoder& e, const P& p) {
+  members(e, p);
+}
+void encode_payload(Encoder& e, const SolvePayload& p) {
+  encode_solve_fields(&e.o, p);
+}
+void encode_payload(Encoder& e, const BatchPayload& p) {
+  std::string items = "[";
+  for (std::size_t i = 0; i < p.items.size(); ++i) {
+    if (i) items += ',';
+    Obj q;
+    q.str("code", to_string(p.items[i].code));
+    if (p.items[i].code == ErrorCode::Ok)
+      encode_solve_fields(&q, p.items[i].solve);
+    else
+      q.str("error", p.items[i].error);
+    items += q.close();
   }
-  void operator()(const SessionOpenedPayload& p) {
-    o.str("kind", "session");
-    o.uint("session", p.session);
-  }
-  void operator()(const EditAppliedPayload&) { o.str("kind", "edited"); }
-  void operator()(const SessionClosedPayload&) { o.str("kind", "closed"); }
-  void operator()(const AnalysisPayload& p) {
-    o.str("kind", "analysis");
-    o.str("analysis", p.kind);
-    o.raw("rows", string_array(table_rows(p.table)));
-  }
-  void operator()(const StatsPayload& p) {
-    o.str("kind", "stats");
-    o.raw("cache", counter_obj(p.cache));
-    o.raw("subtree", counter_obj(p.subtree));
-    o.uint("sessions", p.sessions);
-    o.raw("api", counter_obj(p.api));
-    o.raw("persist", counter_obj(p.persist));
-    // Wall-clock data, gated like the envelope's micros field: stats
-    // responses stay byte-deterministic when timing echo is off.
-    if (with_timing) {
-      Obj lat;
-      lat.uint("count", p.latency.count);
-      lat.uint("sum_micros", p.latency.sum_micros);
-      lat.num("p50", p.latency.p50);
-      lat.num("p95", p.latency.p95);
-      lat.num("p99", p.latency.p99);
-      o.raw("latency", lat.close());
-    }
-  }
-  void operator()(const MetricsPayload& p) {
-    o.str("kind", "metrics");
-    // `json` is already a canonical JSON object (Registry::to_json), so
-    // it embeds verbatim; the Prometheus text travels as a string.
-    o.raw("metrics", p.json);
-    o.str("text", p.text);
-  }
-  void operator()(const ShutdownPayload& p) {
-    o.str("kind", "shutdown");
-    o.uint("handled", p.handled);
-  }
-  void operator()(const SnapshotPayload& p) {
-    o.str("kind", "snapshot");
-    o.str("action", p.action);
-    o.str("path", p.path);
-    o.uint("result_entries", p.result_entries);
-    o.uint("subtree_entries", p.subtree_entries);
-    o.uint("file_bytes", p.file_bytes);
-  }
-};
+  items += ']';
+  e.o.raw("items", items);
+}
+void encode_payload(Encoder& e, const AnalysisPayload& p) {
+  e.o.str("analysis", p.kind);
+  e.o.raw("rows", string_array(table_rows(p.table)));
+}
+void encode_payload(Encoder& e, const MetricsPayload& p) {
+  // `json` is already a canonical JSON object (Registry::to_json), so it
+  // embeds verbatim; the Prometheus text travels as a string.
+  e.o.raw("metrics", p.json);
+  e.o.str("text", p.text);
+}
 
 // ---------------------------------------------------------------------------
-// Response decoding.
+// Request decoding.
+// ---------------------------------------------------------------------------
+
+/// Strict decoder over one request object: reads the members fields()
+/// names, marks each consumed, and keeps the first error, after which it
+/// reads nothing more.  leftover() then names any member no field read.
+class Decoder {
+ public:
+  explicit Decoder(const Value& obj) : obj_(obj), used_(obj.members.size()) {}
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+
+  /// The member \p key, marked consumed; null when absent or after an
+  /// error.
+  const Value* get(const char* key) {
+    if (!ok()) return nullptr;
+    for (std::size_t i = 0; i < obj_.members.size(); ++i)
+      if (obj_.members[i].first == key) {
+        used_[i] = true;
+        return &obj_.members[i].second;
+      }
+    return nullptr;
+  }
+
+  /// First member not consumed and not in the envelope set; empty when
+  /// everything was recognized.
+  std::string leftover() const {
+    for (std::size_t i = 0; i < obj_.members.size(); ++i) {
+      const std::string& k = obj_.members[i].first;
+      if (!used_[i] && k != "v" && k != "id" && k != "op") return k;
+    }
+    return {};
+  }
+
+  void req(const char* key, std::string& out) {
+    if (const Value* v = need(key)) string(key, *v, out);
+  }
+  void req(const char* key, std::uint64_t& out) {
+    if (const Value* v = need(key); v && !as_uint(*v, &out))
+      fail(std::string("field \"") + key +
+           "\" must be a non-negative integer");
+  }
+  void req(const char* key, engine::Problem& out) {
+    std::string name;
+    req(key, name);
+    if (!ok()) return;
+    if (const auto p = parse_problem(name))
+      out = *p;
+    else
+      fail("unknown problem '" + name +
+           "' (expected cdpf|dgc|cgd|cedpf|edgc|cged)");
+  }
+  void req(const char* key, EditOp& out) {
+    std::string name;
+    req(key, name);
+    if (!ok()) return;
+    if (const auto op = parse_edit_op(name))
+      out = *op;
+    else
+      fail("unknown edit op '" + name +
+           "' (expected set-cost, set-prob, set-damage, toggle-defense, or "
+           "replace-subtree)");
+  }
+  void req(const char* key, std::vector<std::string>& out) {
+    const Value* v = need(key);
+    if (!v) return;
+    const auto strings = [](const Value& a) {
+      return a.kind == Value::Kind::Array &&
+             std::all_of(a.items.begin(), a.items.end(), [](const Value& x) {
+               return x.kind == Value::Kind::String;
+             });
+    };
+    if (!strings(*v))
+      return fail(std::string("field \"") + key +
+                  "\" must be an array of strings");
+    for (const Value& item : v->items) out.push_back(item.string);
+  }
+  void opt(const char* key, std::string& out) {
+    if (const Value* v = get(key)) string(key, *v, out);
+  }
+  void opt(const char* key, double& out, bool& present, const Rule& rule) {
+    const Value* v = get(key);
+    if (!v || !number(key, *v, out)) return;
+    present = true;
+    if (!rule.holds(out))
+      fail(std::string("bad ") + key + " (must be " + rule.text + ")");
+  }
+  void opt(const char* key, std::size_t& out) {
+    double n = 0.0;
+    const Value* v = get(key);
+    if (!v || !number(key, *v, n)) return;
+    if (n < 0.0 || std::floor(n) != n || n > 65536.0)
+      return fail(std::string("field \"") + key +
+                  "\" must be a small non-negative integer");
+    out = static_cast<std::size_t>(n);
+  }
+  void items(const char* key, std::vector<SolveSpec>& out) {
+    const Value* v = need(key);
+    if (!v) return;
+    if (v->kind != Value::Kind::Array)
+      return fail(std::string("field \"") + key + "\" must be an array");
+    for (std::size_t i = 0; i < v->items.size(); ++i) {
+      const Value& item = v->items[i];
+      const auto where = [i] { return "batch item " + std::to_string(i); };
+      if (item.kind != Value::Kind::Object)
+        return fail(where() + " must be an object");
+      Decoder d(item);
+      SolveSpec spec;
+      fields(d, spec);
+      if (!d.ok()) return fail(where() + ": " + d.error());
+      // Items have no envelope of their own: leftover() must not excuse
+      // v/id/op here.
+      if (item.find("v") || item.find("id") || item.find("op") ||
+          !d.leftover().empty())
+        return fail(where() + ": unknown field");
+      out.push_back(std::move(spec));
+    }
+  }
+  /// An edit operand: required when \p wanted, rejected otherwise.
+  void operand(const char* key, double& out, bool wanted, EditOp op) {
+    const Value* v = get(key);
+    const bool present = v && number(key, *v, out);
+    if (!ok()) return;
+    if (wanted && (!present || !std::isfinite(out)))
+      fail("edit " + std::string(to_string(op)) + " needs a finite \"" + key +
+           "\"");
+    else if (!wanted && present)
+      fail("edit " + std::string(to_string(op)) + " takes no \"" + key +
+           "\"");
+  }
+  void operand(const char* key, std::string& out, bool wanted, EditOp op) {
+    const Value* v = get(key);
+    const bool present = v && string(key, *v, out);
+    if (!ok()) return;
+    if (wanted && !present)
+      fail("edit " + std::string(to_string(op)) + " needs a \"" + key +
+           "\"");
+    else if (!wanted && present)
+      fail("edit " + std::string(to_string(op)) + " takes no \"" + key +
+           "\"");
+  }
+
+ private:
+  void fail(std::string message) {
+    if (ok()) error_ = std::move(message);
+  }
+  const Value* need(const char* key) {
+    const Value* v = get(key);
+    if (!v) fail(std::string("missing field \"") + key + "\"");
+    return v;
+  }
+  bool string(const char* key, const Value& v, std::string& out) {
+    if (v.kind != Value::Kind::String) {
+      fail(std::string("field \"") + key + "\" must be a string");
+      return false;
+    }
+    out = v.string;
+    return true;
+  }
+  bool number(const char* key, const Value& v, double& out) {
+    if (v.kind != Value::Kind::Number) {
+      fail(std::string("field \"") + key + "\" must be a finite number");
+      return false;
+    }
+    out = v.number;
+    return true;
+  }
+
+  const Value& obj_;
+  std::vector<char> used_;
+  std::string error_;
+};
+
+std::string unknown_op_message(const std::string& op) {
+  std::string m = "unknown op '" + op + "' (expected ";
+  for (std::size_t i = 0; i < std::size(kOpNames); ++i) {
+    if (i) m += i + 1 == std::size(kOpNames) ? ", or " : ", ";
+    m += kOpNames[i];
+  }
+  return m + ")";
+}
+
+// ---------------------------------------------------------------------------
+// Response decoding (lenient: tests and programmatic clients).
 // ---------------------------------------------------------------------------
 
 bool read_uint(const Value& obj, const char* key, std::uint64_t* out) {
   const Value* v = obj.find(key);
-  // Same 2^53 cap as require_uint: a larger double is not exactly
-  // representable and the cast would be undefined behavior.
-  if (!v || v->kind != Value::Kind::Number || v->number < 0.0 ||
-      std::floor(v->number) != v->number ||
-      v->number > 9.007199254740992e15)
-    return false;
-  *out = static_cast<std::uint64_t>(v->number);
-  return true;
+  return v && as_uint(*v, out);
 }
 
 bool read_string(const Value& obj, const char* key, std::string* out) {
@@ -1018,6 +931,38 @@ bool read_number(const Value& obj, const char* key, double* out) {
   *out = v->number;
   return true;
 }
+
+/// Reads the members members() names that are present and well typed;
+/// a missing req() member is the only error.
+struct Reader {
+  const Value& in;
+  std::string error;
+
+  template <std::unsigned_integral U>
+  void field(const char* key, U& x) {
+    if (std::uint64_t n = 0; read_uint(in, key, &n)) x = static_cast<U>(n);
+  }
+  void field(const char* key, double& x) { read_number(in, key, &x); }
+  void field(const char* key, std::string& x) { read_string(in, key, &x); }
+  void req(const char* key, std::uint64_t& x) {
+    if (!read_uint(in, key, &x)) missing(key);
+  }
+  void req(const char* key, std::string& x) {
+    if (!read_string(in, key, &x)) missing(key);
+  }
+  template <class S>
+  void obj(const char* key, S& s) {
+    const Value* v = in.find(key);
+    if (!v || v->kind != Value::Kind::Object) return;
+    Reader nested{*v, {}};
+    members(nested, s);
+  }
+  bool timing() const { return true; }
+
+  void missing(const char* key) {
+    if (error.empty()) error = std::string("missing \"") + key + "\"";
+  }
+};
 
 bool decode_solve_payload(const Value& obj, const std::string& kind,
                           SolvePayload* p, std::string* err) {
@@ -1077,32 +1022,57 @@ bool decode_solve_payload(const Value& obj, const std::string& kind,
   return true;
 }
 
-template <typename Stats>
-void decode_counter_stats(const Value& obj, const char* key, Stats* out) {
-  const Value* v = obj.find(key);
-  if (!v || v->kind != Value::Kind::Object) return;
-  read_uint(*v, "hits", &out->hits);
-  read_uint(*v, "misses", &out->misses);
-  read_uint(*v, "insertions", &out->insertions);
-  read_uint(*v, "evictions", &out->evictions);
-  read_uint(*v, "collisions", &out->collisions);
-  std::uint64_t n = 0;
-  if (read_uint(*v, "entries", &n)) out->entries = n;
-  if (read_uint(*v, "bytes", &n)) out->bytes = n;
+/// Payload members after "kind", mirroring encode_payload; returns the
+/// error message, empty on success.  Solve payloads (kind front/attack)
+/// decode before the kKinds lookup and never reach here.
+template <class P>
+std::string decode_payload(const Value& doc, P& p) {
+  Reader r{doc, {}};
+  members(r, p);
+  return r.error;
 }
-
-void decode_api_counters(const Value& obj, DispatchCounters* out) {
-  const Value* v = obj.find("api");
-  if (!v || v->kind != Value::Kind::Object) return;
-  read_uint(*v, "requests", &out->requests);
-  read_uint(*v, "solves", &out->solves);
-  read_uint(*v, "batches", &out->batches);
-  read_uint(*v, "session_opens", &out->session_opens);
-  read_uint(*v, "session_edits", &out->session_edits);
-  read_uint(*v, "session_resolves", &out->session_resolves);
-  read_uint(*v, "session_closes", &out->session_closes);
-  read_uint(*v, "analyses", &out->analyses);
-  read_uint(*v, "errors", &out->errors);
+std::string decode_payload(const Value& doc, BatchPayload& p) {
+  const Value* items = doc.find("items");
+  if (!items || items->kind != Value::Kind::Array) return "missing \"items\"";
+  for (const Value& item : items->items) {
+    if (item.kind != Value::Kind::Object) return "bad batch item";
+    BatchPayload::Item bi;
+    std::string icode;
+    if (!read_string(item, "code", &icode)) return "bad batch item";
+    const auto iec = parse_error_code(icode);
+    if (!iec) return "bad batch item code";
+    bi.code = *iec;
+    if (bi.code == ErrorCode::Ok) {
+      std::string ikind, err;
+      if (!read_string(item, "kind", &ikind) ||
+          !decode_solve_payload(item, ikind, &bi.solve, &err))
+        return "bad batch item: " + err;
+    } else {
+      read_string(item, "error", &bi.error);
+    }
+    p.items.push_back(std::move(bi));
+  }
+  return {};
+}
+std::string decode_payload(const Value& doc, AnalysisPayload& p) {
+  if (!read_string(doc, "analysis", &p.kind)) return "missing \"analysis\"";
+  const Value* rows = doc.find("rows");
+  if (!rows || rows->kind != Value::Kind::Array) return "missing \"rows\"";
+  for (const Value& row : rows->items) {
+    if (row.kind != Value::Kind::String) return "bad row";
+    p.table += row.string;
+    p.table += '\n';
+  }
+  return {};
+}
+std::string decode_payload(const Value& doc, MetricsPayload& p) {
+  const Value* m = doc.find("metrics");
+  if (!m || m->kind != Value::Kind::Object) return "missing \"metrics\"";
+  // Re-dump the embedded registry object; both sides use the same
+  // canonical number rendering, so this is byte-stable.
+  p.json = json::dump(*m);
+  if (!read_string(doc, "text", &p.text)) return "missing \"text\"";
+  return {};
 }
 
 }  // namespace
@@ -1113,8 +1083,8 @@ std::string encode_request(const Request& request) {
   if (!request.id.empty()) o.str("id", request.id);
   o.str("op", op_name(request.op));
   if (request.trace) o.boolean("trace", true);
-  RequestEncoder enc{o};
-  std::visit(enc, request.op);
+  Encoder e{o};
+  std::visit([&](const auto& r) { fields(e, r); }, request.op);
   return o.close();
 }
 
@@ -1165,21 +1135,25 @@ Decoded<Request> decode_request(const std::string& text) {
     return fail(ErrorCode::MalformedRequest,
                 "missing envelope field \"op\"");
 
-  Fields fields(doc);
+  Decoder d(doc);
   // Envelope-level opt-in, legal on every op (consumed before the
   // leftover check so it never reads as an unknown field).
-  if (const Value* tr = fields.get("trace")) {
+  if (const Value* tr = d.get("trace")) {
     if (tr->kind != Value::Kind::Bool)
       return fail(ErrorCode::MalformedRequest,
                   "field \"trace\" must be a boolean");
     out.value.trace = tr->boolean;
   }
-  FieldError err = decode_operation(op->string, fields, &out.value.op);
-  if (!err.ok()) return fail(err.code, std::move(err.message));
-  if (const std::string stray = fields.leftover(); !stray.empty())
+  std::optional<Operation> operation = make_operation(op->string);
+  if (!operation)
+    return fail(ErrorCode::UnknownOperation, unknown_op_message(op->string));
+  std::visit([&](auto& r) { fields(d, r); }, *operation);
+  if (!d.ok()) return fail(ErrorCode::InvalidArgument, d.error());
+  if (const std::string stray = d.leftover(); !stray.empty())
     return fail(ErrorCode::InvalidArgument,
                 "unknown field \"" + stray + "\" for op '" + op->string +
                     "'");
+  out.value.op = std::move(*operation);
   return out;
 }
 
@@ -1191,8 +1165,11 @@ std::string encode_response(const Response& response, bool with_micros) {
   if (response.code != ErrorCode::Ok) {
     o.str("error", response.error);
   } else {
-    PayloadEncoder enc{o, with_micros};
-    std::visit(enc, response.payload);
+    if (const char* kind = kKinds[response.payload.index()])
+      o.str("kind", kind);
+    Encoder e{o, with_micros};
+    std::visit([&](const auto& p) { encode_payload(e, p); },
+               response.payload);
   }
   if (response.trace) {
     // Emitted on error responses too: a traced request that failed
@@ -1272,11 +1249,9 @@ Decoded<Response> decode_response(const std::string& text) {
     if (const Value* facts = tr->find("facts")) {
       if (facts->kind != Value::Kind::Object) return fail("bad trace facts");
       for (const auto& [name, fv] : facts->members) {
-        if (fv.kind != Value::Kind::Number || fv.number < 0.0 ||
-            std::floor(fv.number) != fv.number ||
-            fv.number > 9.007199254740992e15)
-          return fail("bad trace fact");
-        tp.facts.emplace_back(name, static_cast<std::uint64_t>(fv.number));
+        std::uint64_t n = 0;
+        if (!as_uint(fv, &n)) return fail("bad trace fact");
+        tp.facts.emplace_back(name, n);
       }
     }
     out.value.trace = std::move(tp);
@@ -1289,107 +1264,20 @@ Decoded<Response> decode_response(const std::string& text) {
 
   std::string kind;
   if (!read_string(doc, "kind", &kind)) return out;  // bare ok
-  std::string err;
   if (kind == "front" || kind == "attack") {
     SolvePayload p;
+    std::string err;
     if (!decode_solve_payload(doc, kind, &p, &err)) return fail(err);
     out.value.payload = std::move(p);
-  } else if (kind == "batch") {
-    BatchPayload p;
-    const Value* items = doc.find("items");
-    if (!items || items->kind != Value::Kind::Array)
-      return fail("missing \"items\"");
-    for (const Value& item : items->items) {
-      if (item.kind != Value::Kind::Object) return fail("bad batch item");
-      BatchPayload::Item bi;
-      std::string icode;
-      if (!read_string(item, "code", &icode)) return fail("bad batch item");
-      const auto iec = parse_error_code(icode);
-      if (!iec) return fail("bad batch item code");
-      bi.code = *iec;
-      if (bi.code == ErrorCode::Ok) {
-        std::string ikind;
-        if (!read_string(item, "kind", &ikind) ||
-            !decode_solve_payload(item, ikind, &bi.solve, &err))
-          return fail("bad batch item: " + err);
-      } else {
-        read_string(item, "error", &bi.error);
-      }
-      p.items.push_back(std::move(bi));
-    }
-    out.value.payload = std::move(p);
-  } else if (kind == "session") {
-    SessionOpenedPayload p;
-    if (!read_uint(doc, "session", &p.session))
-      return fail("missing \"session\"");
-    out.value.payload = p;
-  } else if (kind == "edited") {
-    out.value.payload = EditAppliedPayload{};
-  } else if (kind == "closed") {
-    out.value.payload = SessionClosedPayload{};
-  } else if (kind == "analysis") {
-    AnalysisPayload p;
-    if (!read_string(doc, "analysis", &p.kind))
-      return fail("missing \"analysis\"");
-    const Value* rows = doc.find("rows");
-    if (!rows || rows->kind != Value::Kind::Array)
-      return fail("missing \"rows\"");
-    for (const Value& row : rows->items) {
-      if (row.kind != Value::Kind::String) return fail("bad row");
-      p.table += row.string;
-      p.table += '\n';
-    }
-    out.value.payload = std::move(p);
-  } else if (kind == "stats") {
-    StatsPayload p;
-    decode_counter_stats(doc, "cache", &p.cache);
-    decode_counter_stats(doc, "subtree", &p.subtree);
-    std::uint64_t sessions = 0;
-    if (read_uint(doc, "sessions", &sessions)) p.sessions = sessions;
-    decode_api_counters(doc, &p.api);
-    if (const Value* per = doc.find("persist");
-        per && per->kind == Value::Kind::Object) {
-      read_uint(*per, "saves", &p.persist.saves);
-      read_uint(*per, "loads", &p.persist.loads);
-      read_uint(*per, "save_errors", &p.persist.save_errors);
-      read_uint(*per, "load_errors", &p.persist.load_errors);
-      read_uint(*per, "snapshot_bytes", &p.persist.snapshot_bytes);
-    }
-    if (const Value* lat = doc.find("latency");
-        lat && lat->kind == Value::Kind::Object) {
-      read_uint(*lat, "count", &p.latency.count);
-      read_uint(*lat, "sum_micros", &p.latency.sum_micros);
-      read_number(*lat, "p50", &p.latency.p50);
-      read_number(*lat, "p95", &p.latency.p95);
-      read_number(*lat, "p99", &p.latency.p99);
-    }
-    out.value.payload = std::move(p);
-  } else if (kind == "metrics") {
-    MetricsPayload p;
-    const Value* m = doc.find("metrics");
-    if (!m || m->kind != Value::Kind::Object)
-      return fail("missing \"metrics\"");
-    // Re-dump the embedded registry object; both sides use the same
-    // canonical number rendering, so this is byte-stable.
-    p.json = json::dump(*m);
-    if (!read_string(doc, "text", &p.text)) return fail("missing \"text\"");
-    out.value.payload = std::move(p);
-  } else if (kind == "shutdown") {
-    ShutdownPayload p;
-    read_uint(doc, "handled", &p.handled);
-    out.value.payload = p;
-  } else if (kind == "snapshot") {
-    SnapshotPayload p;
-    if (!read_string(doc, "action", &p.action))
-      return fail("missing \"action\"");
-    read_string(doc, "path", &p.path);
-    read_uint(doc, "result_entries", &p.result_entries);
-    read_uint(doc, "subtree_entries", &p.subtree_entries);
-    read_uint(doc, "file_bytes", &p.file_bytes);
-    out.value.payload = std::move(p);
-  } else {
-    return fail("unknown kind '" + kind + "'");
+    return out;
   }
+  std::optional<Payload> payload =
+      detail::alternative_named<Payload>(kKinds, kind);
+  if (!payload) return fail("unknown kind '" + kind + "'");
+  const std::string err =
+      std::visit([&](auto& p) { return decode_payload(doc, p); }, *payload);
+  if (!err.empty()) return fail(err);
+  out.value.payload = std::move(*payload);
   return out;
 }
 

@@ -9,16 +9,24 @@
 ///   {"v":1,"id":"7","op":"solve","problem":"cdpf","model":"bas a ..."}
 ///   {"v":1,"id":"7","code":"ok","kind":"front","engine":"bottom-up",...}
 ///
+/// Each shape is described once in json.cpp and both directions visit
+/// that description: the op names come from api::kOpNames, each op's
+/// members from one fields() list, and the counter objects and simple
+/// payloads from one members() list (their "kind" from kKinds).  Fronts,
+/// batches, analyses, metrics and traces keep hand-written code.
+///
 /// Encoding is canonical — fixed member order, absent optional fields
 /// omitted, analysis::format_num for doubles — so
-/// encode(decode(encode(x))) == encode(x) byte-for-byte; the nightly CI
-/// round-trip property pins this over random requests.  Decoding is
-/// strict: unknown members, wrong types, a missing/foreign "v", or
-/// trailing bytes produce a typed ErrorCode instead of a guess, and the
+/// encode(decode(encode(x))) == encode(x) byte-for-byte;
+/// tests/test_api.cpp pins literal lines and a round-trip property over
+/// random requests.  Request decoding is strict: unknown members, wrong
+/// types, a missing/foreign "v", or trailing bytes produce a typed
+/// ErrorCode naming the first bad member in fields() order, and the
 /// recursion depth is capped so garbage can never blow the stack.
+/// Response decoding is lenient: only the members a payload cannot do
+/// without are required.
 ///
-/// The generic json::Value layer is exposed for tests and for the stats
-/// payload's nested counter objects.
+/// The generic json::Value layer is exposed for tests and tools.
 
 #include <cstddef>
 #include <optional>

@@ -685,8 +685,8 @@ TEST(JsonCodec, CanonicalBytesArePinned) {
        R"(field "trace" must be a boolean)"},
       {R"({"v":1,"op":"frobnicate"})", ErrorCode::UnknownOperation,
        "unknown op 'frobnicate' (expected solve, batch, open, edit, resolve, "
-       "close, sweep, sensitivity, portfolio, stats, metrics, snapshot-save, "
-       "snapshot-load, or quit)"},
+       "close, sweep, sensitivity, portfolio, stats, metrics, quit, "
+       "snapshot-save, or snapshot-load)"},
       {R"({"v":1,"op":7})", ErrorCode::MalformedRequest,
        R"(missing envelope field "op")"},
       {R"({"v":2,"op":"stats"})", ErrorCode::UnsupportedVersion,

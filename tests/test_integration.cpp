@@ -1,7 +1,7 @@
 /// End-to-end integration tests across module boundaries: literature
 /// building blocks -> random decorations -> text serialisation -> parse
-/// -> engines -> front I/O.  Each test exercises a pipeline a downstream
-/// user would actually run.
+/// -> engines.  Each test exercises a pipeline a downstream user would
+/// actually run.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "gen/literature.hpp"
 #include "gen/random_at.hpp"
 #include "helpers.hpp"
-#include "pareto/io.hpp"
 #include "poly/poly_engine.hpp"
 
 namespace atcd {
@@ -59,19 +58,6 @@ TEST(Integration, SerialiseParseAnalyzePipeline) {
     ASSERT_TRUE(fronts_equal(cedpf(m), cedpf(back), 1e-9));
     ASSERT_TRUE(
         fronts_equal(cdpf(m.deterministic()), cdpf(back.deterministic())));
-  }
-}
-
-TEST(Integration, FrontExportReimportPreservesAnalysis) {
-  Rng rng(1003);
-  const auto m = atcd::testing::random_cdat(rng, 10, /*treelike=*/true);
-  const auto f = cdpf(m);
-  const auto back = front_from_csv(front_to_csv(f, &m.tree), &m.tree);
-  ASSERT_TRUE(fronts_equal(f, back));
-  // Reimported witnesses still evaluate to the stated points.
-  for (const auto& p : back) {
-    EXPECT_DOUBLE_EQ(total_cost(m, p.witness), p.value.cost);
-    EXPECT_DOUBLE_EQ(total_damage(m, p.witness), p.value.damage);
   }
 }
 

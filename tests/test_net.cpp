@@ -2,15 +2,18 @@
 /// serving with byte parity against the stdin transport on twin
 /// dispatchers, multi-client pipelining with out-of-order id matching,
 /// connection caps, malformed and truncated HTTP/JSON frames answered
-/// with typed errors (never a crash), and SIGTERM/SIGINT graceful
-/// drain delivering the structured shutdown response as the final line
-/// of every open connection.
+/// with typed errors (never a crash), SIGTERM/SIGINT graceful drain
+/// delivering the structured shutdown response as the final line of
+/// every open connection, and the shard-by-hash router over two
+/// in-process workers (session ids, typed errors, caps, drain, merged
+/// stats and metrics).
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +23,7 @@
 #include "api/json.hpp"
 #include "api/server.hpp"
 #include "net/client.hpp"
+#include "net/router.hpp"
 #include "net/server.hpp"
 
 namespace atcd {
@@ -102,11 +106,15 @@ struct ServerFixture {
   bool ok = false;
 };
 
-net::Client connect_to(const net::Server& server) {
+net::Client connect_to(std::uint16_t port) {
   std::string err;
-  net::Client c("127.0.0.1", server.port(), &err);
+  net::Client c("127.0.0.1", port, &err);
   EXPECT_TRUE(c.valid()) << err;
   return c;
+}
+
+net::Client connect_to(const net::Server& server) {
+  return connect_to(server.port());
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +469,230 @@ TEST(NetHttp, OversizedBodyGets413) {
       client.http_post("/api/v1", std::string(4096, 'x'), &status, &body));
   EXPECT_EQ(status, 413);
   EXPECT_EQ(decode_response(body).value.code, ErrorCode::Capacity);
+}
+
+// ---------------------------------------------------------------------------
+// Router over two in-process workers.
+// ---------------------------------------------------------------------------
+
+std::string op_line(const std::string& id, Operation op) {
+  Request r;
+  r.id = id;
+  r.op = std::move(op);
+  return encode_request(r);
+}
+
+SolveSpec det_spec(const char* model = kDetModel) {
+  return {engine::Problem::Cdpf, 0.0, false, "", model};
+}
+
+/// Two default workers behind a router started with \p opt plus their
+/// addresses as its shards.
+struct RouterFixture {
+  explicit RouterFixture(net::RouterOptions opt = {}) {
+    opt.shards = {{"127.0.0.1", w0.server.port()},
+                  {"127.0.0.1", w1.server.port()}};
+    router = std::make_unique<net::Router>(std::move(opt));
+    std::string err;
+    ok = router->start(&err);
+    EXPECT_TRUE(ok) << err;
+  }
+  ~RouterFixture() {
+    if (ok) {
+      router->request_drain();
+      router->wait();
+    }
+  }
+  net::Client connect() const { return connect_to(router->port()); }
+
+  ServerFixture w0, w1;
+  std::unique_ptr<net::Router> router;
+  bool ok = false;
+};
+
+Response ask(net::Client& client, const std::string& line) {
+  std::string resp;
+  EXPECT_TRUE(client.request(line, &resp));
+  const Decoded<Response> dec = decode_response(resp);
+  EXPECT_EQ(dec.code, ErrorCode::Ok) << resp;
+  return dec.value;
+}
+
+TEST(NetRouter, SessionIdsAreTheRoutersOwn) {
+  RouterFixture fx;
+  net::Client c = fx.connect();
+  for (std::uint64_t want = 1; want <= 3; ++want) {
+    const Response r = ask(
+        c, op_line("o" + std::to_string(want), SessionOpenRequest{det_spec()}));
+    ASSERT_EQ(r.code, ErrorCode::Ok) << r.error;
+    const auto* p = std::get_if<SessionOpenedPayload>(&r.payload);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->session, want);
+  }
+  EXPECT_EQ(ask(c, op_line("e", SessionEditRequest{
+                                         2, EditOp::SetCost, "a", 3.0, ""}))
+                .code,
+            ErrorCode::Ok);
+  EXPECT_EQ(ask(c, op_line("r", SessionResolveRequest{2})).code,
+            ErrorCode::Ok);
+  EXPECT_EQ(ask(c, op_line("c", SessionCloseRequest{2})).code,
+            ErrorCode::Ok);
+  for (const std::uint64_t gone : {std::uint64_t{2}, std::uint64_t{9}}) {
+    const Response r = ask(c, op_line("g", SessionResolveRequest{gone}));
+    EXPECT_EQ(r.code, ErrorCode::NoSuchSession);
+    EXPECT_EQ(r.error, "no session " + std::to_string(gone));
+  }
+}
+
+TEST(NetRouter, SnapshotOpsAreDeclinedPerWorker) {
+  RouterFixture fx;
+  net::Client c = fx.connect();
+  for (Operation op : {Operation{SnapshotSaveRequest{"x.atcd"}},
+                       Operation{SnapshotLoadRequest{"x.atcd"}}}) {
+    const Response r = ask(c, op_line("s", std::move(op)));
+    EXPECT_EQ(r.code, ErrorCode::InvalidArgument);
+    EXPECT_EQ(r.error,
+              "snapshot ops are per-worker; run them against a shard "
+              "directly");
+  }
+}
+
+TEST(NetRouter, MalformedAndOverCapLinesAreTypedAndConnectionSurvives) {
+  net::RouterOptions opt;
+  opt.max_line_bytes = 256;
+  RouterFixture fx(opt);
+  net::Client c = fx.connect();
+  EXPECT_EQ(ask(c, "this is not json").code,
+            ErrorCode::MalformedRequest);
+  const Response big = ask(c, std::string(4096, 'x'));
+  EXPECT_EQ(big.code, ErrorCode::Capacity);
+  EXPECT_EQ(big.error, "input line exceeds 256 bytes");
+  const Response ok = ask(c, solve_line("after"));
+  EXPECT_EQ(ok.code, ErrorCode::Ok);
+  EXPECT_EQ(ok.id, "after");
+}
+
+TEST(NetRouter, ConnectionCapRejectsWithTypedError) {
+  net::RouterOptions opt;
+  opt.max_conns = 1;
+  RouterFixture fx(opt);
+  net::Client a = fx.connect();
+  EXPECT_EQ(ask(a, solve_line("a")).code, ErrorCode::Ok);
+  net::Client b = fx.connect();
+  std::string resp;
+  ASSERT_TRUE(b.read_line(&resp));
+  const Decoded<Response> dec = decode_response(resp);
+  EXPECT_EQ(dec.value.code, ErrorCode::Capacity);
+  EXPECT_EQ(dec.value.error, "connection limit reached (max 1)");
+  EXPECT_FALSE(b.read_line(&resp));
+  EXPECT_EQ(ask(a, solve_line("a2")).code, ErrorCode::Ok);
+}
+
+TEST(NetRouter, QuitEchoesIdAndHandledCount) {
+  RouterFixture fx;
+  {
+    net::Client c = fx.connect();
+    EXPECT_EQ(ask(c, solve_line("1")).code, ErrorCode::Ok);
+    EXPECT_EQ(ask(c, solve_line("2", 3.0, true)).code, ErrorCode::Ok);
+    const Response r = ask(c, shutdown_line("q"));
+    EXPECT_EQ(r.id, "q");
+    const auto* p = std::get_if<ShutdownPayload>(&r.payload);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->handled, 2u);
+    std::string resp;
+    EXPECT_FALSE(c.read_line(&resp));
+  }
+  fx.router->request_drain();
+  fx.router->wait();
+  EXPECT_EQ(fx.router->handled(), 2u);
+}
+
+TEST(NetRouter, DrainFinishesInFlightRequestThenShutdown) {
+  RouterFixture fx;
+  net::Client c = fx.connect();
+  ASSERT_TRUE(c.send_line(sweep_line("heavy")));
+  // The sweep is in flight once a worker has started dispatching it.
+  const auto worker_requests = [&] {
+    return fx.w0.dispatcher.counters().requests +
+           fx.w1.dispatcher.counters().requests;
+  };
+  for (int i = 0; i < 2000 && worker_requests() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  fx.router->request_drain();
+
+  std::string resp;
+  ASSERT_TRUE(c.read_line(&resp));
+  EXPECT_EQ(id_of(resp), "heavy");
+  EXPECT_EQ(decode_response(resp).value.code, ErrorCode::Ok);
+  ASSERT_TRUE(c.read_line(&resp));
+  EXPECT_TRUE(is_shutdown(resp));
+  EXPECT_FALSE(c.read_line(&resp));
+  fx.router->wait();
+}
+
+TEST(NetRouter, StatsAndMetricsSumOverShards) {
+  RouterFixture fx;
+  net::Client c = fx.connect();
+  const char* other =
+      "bas x cost=2 damage=3\n"
+      "bas y cost=5 damage=1\n"
+      "and t = x, y damage=7\n";
+  EXPECT_EQ(ask(c, solve_line("1")).code, ErrorCode::Ok);
+  EXPECT_EQ(ask(c, op_line("2", SolveRequest{det_spec(other)})).code,
+            ErrorCode::Ok);
+
+  const Response stats = ask(c, op_line("s", StatsRequest{}));
+  const auto* sp = std::get_if<StatsPayload>(&stats.payload);
+  ASSERT_NE(sp, nullptr);
+  const StatsPayload s0 = fx.w0.dispatcher.stats();
+  const StatsPayload s1 = fx.w1.dispatcher.stats();
+  EXPECT_EQ(sp->api.solves, 2u);
+  EXPECT_EQ(sp->api.solves, s0.api.solves + s1.api.solves);
+  EXPECT_EQ(sp->cache.misses, s0.cache.misses + s1.cache.misses);
+
+  const Response metrics = ask(c, op_line("m", MetricsRequest{}));
+  const auto* mp = std::get_if<MetricsPayload>(&metrics.payload);
+  ASSERT_NE(mp, nullptr);
+  json::Value doc;
+  std::string err;
+  ASSERT_TRUE(json::parse(mp->json, &doc, &err)) << err;
+  const json::Value* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const auto counter = [&](const char* name) {
+    const json::Value* v = counters->find(name);
+    return v ? static_cast<std::uint64_t>(v->number) : 0;
+  };
+  const auto worker_sum = [&](const char* name) {
+    return fx.w0.dispatcher.metrics().counter(name).value() +
+           fx.w1.dispatcher.metrics().counter(name).value();
+  };
+  EXPECT_EQ(counter("atcd_api_solves_total"), 2u);
+  // Two solves, then stats and metrics fanned out to both workers.
+  EXPECT_EQ(counter("atcd_api_requests_total"), 6u);
+  EXPECT_EQ(counter("atcd_api_requests_total"),
+            worker_sum("atcd_api_requests_total"));
+  EXPECT_NE(mp->text.find("# TYPE atcd_api_solves_total counter\n"
+                          "atcd_api_solves_total 2\n"),
+            std::string::npos);
+}
+
+TEST(NetRouter, UnreachableShardIsATypedInternalError) {
+  std::string err;
+  net::Fd probe = net::listen_tcp("127.0.0.1", 0, 1, &err);
+  ASSERT_TRUE(probe.valid()) << err;
+  const std::uint16_t dead_port = net::local_port(probe.get());
+  probe.reset();  // nothing listens there any more
+
+  net::RouterOptions opt;
+  opt.shards = {{"127.0.0.1", dead_port}};
+  net::Router router(std::move(opt));
+  ASSERT_TRUE(router.start(&err)) << err;
+  net::Client c = connect_to(router.port());
+  const Response r = ask(c, solve_line("x"));
+  EXPECT_EQ(r.code, ErrorCode::Internal);
+  EXPECT_EQ(r.error.rfind("shard 0 unreachable: ", 0), 0u) << r.error;
+  router.request_drain();
+  router.wait();
 }
 
 }  // namespace

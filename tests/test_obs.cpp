@@ -230,6 +230,31 @@ TEST(Registry, PrometheusExpositionHasTypedSamples) {
   EXPECT_NE(text.find("lat_micros_count 1\n"), std::string::npos);
 }
 
+TEST(Registry, ExpositionBytesArePinned) {
+  // One instrument of each kind with fixed values: the exact bytes of
+  // both expositions, including a gauge that needs 17 digits to parse
+  // back and histogram percentiles at a bucket's upper edge.
+  obs::Registry r;
+  r.counter("c_total").add(3);
+  r.gauge("g").set(0.1 + 0.2);
+  obs::Histogram& h = r.histogram("h_micros");
+  for (const std::uint64_t v : {1, 5, 100, 1000}) h.record(v);
+  EXPECT_EQ(r.to_json(),
+            "{\"counters\":{\"c_total\":3},"
+            "\"gauges\":{\"g\":0.30000000000000004},"
+            "\"histograms\":{\"h_micros\":{\"count\":4,\"sum\":1106,"
+            "\"p50\":5,\"p95\":1023,\"p99\":1023}}}");
+  EXPECT_EQ(r.to_prometheus(),
+            "# TYPE c_total counter\nc_total 3\n"
+            "# TYPE g gauge\ng 0.30000000000000004\n"
+            "# TYPE h_micros summary\n"
+            "h_micros{quantile=\"0.5\"} 5\n"
+            "h_micros{quantile=\"0.95\"} 1023\n"
+            "h_micros{quantile=\"0.99\"} 1023\n"
+            "h_micros_sum 1106\n"
+            "h_micros_count 4\n");
+}
+
 // ---------------------------------------------------------------------------
 // Trace spans through the dispatch stack.
 // ---------------------------------------------------------------------------

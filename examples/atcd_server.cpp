@@ -38,7 +38,8 @@
 /// front door (src/net/router.hpp) over the --shard workers: no local
 /// solver, every request forwards to the shard owning its canonical
 /// model hash, so isomorphic resubmissions always hit the same warm
-/// cache.
+/// cache.  --http and --snapshot do not apply to --router, and --shard
+/// needs it: each mismatch is a usage error (exit 2).
 ///
 /// --slow-ms N logs any request slower than N milliseconds on stderr
 /// (one structured JSON object per offender:
@@ -307,6 +308,15 @@ int main(int argc, char** argv) {
                    argv[i - 1]);
       return usage();
     }
+  }
+  // Flags of the other mode are usage errors, not silently dropped: the
+  // router speaks JSON lines only and keeps no cache to snapshot, and
+  // shards mean nothing without --router.
+  if (router ? nopt.http || !snapshot_path.empty() : !shard_addrs.empty()) {
+    std::fprintf(stderr, "atcd_server: %s\n",
+                 router ? "--http and --snapshot do not apply to --router"
+                        : "--shard needs --router");
+    return usage();
   }
   opt.service.batch.threads = threads;
   jopt.threads = threads;

@@ -86,20 +86,6 @@ std::optional<engine::Problem> parse_problem(const std::string& name) {
   return std::nullopt;
 }
 
-std::size_t handled_increment(const Request& request,
-                              const Response& response) {
-  if (std::holds_alternative<SolveRequest>(request.op)) return 1;
-  if (const auto* b = std::get_if<BatchRequest>(&request.op))
-    return b->items.size();
-  if (std::holds_alternative<SessionResolveRequest>(request.op))
-    return response.code != ErrorCode::NoSuchSession ? 1 : 0;
-  if (std::holds_alternative<AnalyzeSweepRequest>(request.op) ||
-      std::holds_alternative<AnalyzeSensitivityRequest>(request.op) ||
-      std::holds_alternative<AnalyzePortfolioRequest>(request.op))
-    return response.code == ErrorCode::Ok ? 1 : 0;
-  return 0;
-}
-
 Response error_response(std::string id, ErrorCode code, std::string message) {
   Response r;
   r.id = std::move(id);

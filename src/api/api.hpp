@@ -421,12 +421,4 @@ struct Response {
 /// Convenience: an error response (payload stays monostate).
 Response error_response(std::string id, ErrorCode code, std::string message);
 
-/// The per-connection `handled` accounting of the serving loop and the
-/// router: solves count once dispatched — even when the solver fails —
-/// batch requests count one per item, resolves count unless the session
-/// was unknown, analyses count only when they ran; everything else
-/// counts zero.
-std::size_t handled_increment(const Request& request,
-                              const Response& response);
-
 }  // namespace atcd::api

@@ -119,23 +119,7 @@ void parse_typed(engine::Problem problem, const std::string& text,
   // Same phase name as the service's own text-parse path: on the API
   // route the dispatcher parses (to classify failures), not the service.
   obs::SpanScope span("service.parse");
-  ParsedModel parsed = parse_model(text);
-  if (engine::is_probabilistic(problem)) {
-    auto m = std::make_shared<CdpAt>();
-    m->tree = std::move(parsed.tree);
-    m->cost = std::move(parsed.cost);
-    m->damage = std::move(parsed.damage);
-    m->prob = std::move(parsed.prob);
-    m->validate();
-    *prob = std::move(m);
-  } else {
-    auto m = std::make_shared<CdAt>();
-    m->tree = std::move(parsed.tree);
-    m->cost = std::move(parsed.cost);
-    m->damage = std::move(parsed.damage);
-    m->validate();
-    *det = std::move(m);
-  }
+  parse_typed_model(text, engine::is_probabilistic(problem), det, prob);
 }
 
 }  // namespace

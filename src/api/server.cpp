@@ -16,8 +16,9 @@
 
 namespace atcd::api {
 
-namespace detail {
+namespace {
 
+/// Strips leading/trailing spaces, tabs, and CRs from one framed line.
 std::string trim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
   if (b == std::string::npos) return {};
@@ -25,7 +26,25 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-}  // namespace detail
+/// The per-connection `handled` accounting: solves count once
+/// dispatched — even when the solver fails — batch requests count one
+/// per item, resolves count unless the session was unknown, analyses
+/// count only when they ran; everything else counts zero.
+std::size_t handled_increment(const Request& request,
+                              const Response& response) {
+  if (std::holds_alternative<SolveRequest>(request.op)) return 1;
+  if (const auto* b = std::get_if<BatchRequest>(&request.op))
+    return b->items.size();
+  if (std::holds_alternative<SessionResolveRequest>(request.op))
+    return response.code != ErrorCode::NoSuchSession ? 1 : 0;
+  if (std::holds_alternative<AnalyzeSweepRequest>(request.op) ||
+      std::holds_alternative<AnalyzeSensitivityRequest>(request.op) ||
+      std::holds_alternative<AnalyzePortfolioRequest>(request.op))
+    return response.code == ErrorCode::Ok ? 1 : 0;
+  return 0;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // IoStreamTransport.
@@ -64,13 +83,13 @@ bool IoStreamTransport::write_line(const std::string& line) {
 // The serving core.
 // ---------------------------------------------------------------------------
 
-std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
+std::size_t serve_lines(LineTransport& t, const DispatchFn& dispatch,
+                        obs::Registry& metrics,
                         const JsonServeOptions& options) {
   std::mutex out_mu;
   std::atomic<std::size_t> handled{0};
   std::atomic<bool> sink_failed{false};
-  obs::Counter& write_errors =
-      dispatcher.metrics().counter("atcd_net_write_errors_total");
+  obs::Counter& write_errors = metrics.counter("atcd_net_write_errors_total");
 
   const std::size_t workers = options.threads > 1 ? options.threads : 0;
   const std::size_t depth =
@@ -97,7 +116,7 @@ std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
   };
 
   const auto process = [&](const Request& req) {
-    const Response resp = dispatcher.dispatch(req);
+    const Response resp = dispatch(req);
     handled.fetch_add(handled_increment(req, resp));
     emit(resp);
   };
@@ -141,7 +160,7 @@ std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
               " bytes"));
       continue;
     }
-    const std::string line = detail::trim(raw);
+    const std::string line = trim(raw);
     if (line.empty() || line[0] == '#') continue;
     Decoded<Request> dec = decode_request(line);
     if (dec.code != ErrorCode::Ok) {
@@ -186,12 +205,19 @@ std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
     Request quit;
     quit.id = quit_id;
     quit.op = ShutdownRequest{};
-    Response resp = dispatcher.dispatch(quit);
+    Response resp = dispatch(quit);
     if (auto* p = std::get_if<ShutdownPayload>(&resp.payload))
       p->handled = handled.load();
     emit(resp);
   }
   return handled.load();
+}
+
+std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
+                        const JsonServeOptions& options) {
+  return serve_lines(
+      t, [&](const Request& r) { return dispatcher.dispatch(r); },
+      dispatcher.metrics(), options);
 }
 
 std::size_t serve_json(std::istream& in, std::ostream& out,

@@ -38,27 +38,23 @@
 ///    `atcd_net_write_errors_total` registry counter.
 ///
 /// The core loop (serve_lines) speaks to the transport through the
-/// two-method LineTransport interface, so the stdin pipe, the TCP
-/// server, and the HTTP endpoint (src/net/) all run exactly the same
-/// serving code — same pipelining, same caps, same shutdown semantics.
+/// two-method LineTransport interface and hands each decoded request to
+/// a dispatch callable, so the stdin pipe, the TCP server, the HTTP
+/// endpoint and the router (src/net/) all run exactly the same serving
+/// code — same pipelining, same caps, same shutdown semantics.  A
+/// Dispatcher is the usual callable; the router passes its own
+/// forwarding switch.
 ///
 /// Blank lines and lines starting with '#' are skipped, so request
 /// script files can carry comments.
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "api/dispatcher.hpp"
-
-namespace atcd::api::detail {
-
-/// Strips leading/trailing spaces, tabs, and CRs from one framed line —
-/// shared by the serving core and the router (src/net/router.cpp).
-std::string trim(const std::string& s);
-
-}  // namespace atcd::api::detail
 
 namespace atcd::api {
 
@@ -118,10 +114,22 @@ class IoStreamTransport final : public LineTransport {
   std::vector<char> buf_;
 };
 
+/// Answers one decoded request.  Called from the reader thread, or from
+/// several workers at once when options.threads > 1.
+using DispatchFn = std::function<Response(const Request&)>;
+
 /// The transport-agnostic serving core: reads envelope lines from \p t,
-/// dispatches (pipelined when options.threads > 1), writes responses
-/// back, and always finishes with the structured shutdown response.
-/// Returns the number of solve/resolve/analyze requests handled.
+/// answers each through \p dispatch (pipelined when options.threads >
+/// 1), writes responses back, and always finishes with the structured
+/// shutdown response (dispatch's answer to a quit, carrying the handled
+/// count).  Dead-sink writes count in \p metrics'
+/// atcd_net_write_errors_total.  Returns the number of
+/// solve/resolve/analyze requests handled.
+std::size_t serve_lines(LineTransport& t, const DispatchFn& dispatch,
+                        obs::Registry& metrics,
+                        const JsonServeOptions& options = {});
+
+/// serve_lines through \p dispatcher, counting in its registry.
 std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
                         const JsonServeOptions& options = {});
 

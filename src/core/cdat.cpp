@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "at/parser.hpp"
 #include "at/transform.hpp"
 
 namespace atcd {
@@ -41,6 +42,25 @@ void CdpAt::validate() const {
   for (double p : prob)
     if (!(p >= 0.0 && p <= 1.0))
       throw ModelError("cdp-AT: probabilities must lie in [0,1]");
+}
+
+void parse_typed_model(const std::string& text, bool probabilistic,
+                       std::shared_ptr<const CdAt>* det,
+                       std::shared_ptr<const CdpAt>* prob) {
+  ParsedModel parsed = parse_model(text);
+  if (probabilistic) {
+    auto m = std::make_shared<CdpAt>(
+        CdpAt{std::move(parsed.tree), std::move(parsed.cost),
+              std::move(parsed.damage), std::move(parsed.prob)});
+    m->validate();
+    *prob = std::move(m);
+  } else {
+    auto m = std::make_shared<CdAt>(CdAt{std::move(parsed.tree),
+                                         std::move(parsed.cost),
+                                         std::move(parsed.damage)});
+    m->validate();
+    *det = std::move(m);
+  }
 }
 
 double total_cost(const CdAt& m, const Attack& x) {

@@ -15,6 +15,8 @@
 ///    probabilistic structure function, and exactly (via the BDD engine or
 ///    by enumerating actualizations) for DAG models.
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "at/attack_tree.hpp"
@@ -49,6 +51,13 @@ struct CdpAt {
   /// (equivalently, setting p = 1 everywhere).
   CdAt deterministic() const { return CdAt{tree, cost, damage}; }
 };
+
+/// Parses \p text (the at/parser.hpp format) into a validated model: a
+/// CdpAt into \p prob when \p probabilistic, else a CdAt into \p det.
+/// Throws ParseError / ModelError.
+void parse_typed_model(const std::string& text, bool probabilistic,
+                       std::shared_ptr<const CdAt>* det,
+                       std::shared_ptr<const CdpAt>* prob);
 
 // ---------------------------------------------------------------------------
 // Semantics.

@@ -1,7 +1,8 @@
 #pragma once
 /// \file http.hpp
 /// Minimal HTTP/1.1 endpoint over the JSON envelope — an
-/// api::LineTransport whose "lines" are POST bodies.
+/// api::LineTransport whose "lines" are POST bodies, read from a socket
+/// it borrows from net::Server.
 ///
 /// The surface is deliberately tiny (this is a solver, not a web
 /// framework):
@@ -42,8 +43,8 @@ class HttpTransport final : public api::LineTransport {
   /// \p dispatcher is only consulted for GET /metrics (rendering the
   /// registry); every POST flows through the serving core like any
   /// other transport's line.
-  HttpTransport(BufferedFd io, api::Dispatcher& dispatcher)
-      : io_(std::move(io)), dispatcher_(dispatcher) {}
+  HttpTransport(BufferedFd& io, api::Dispatcher& dispatcher)
+      : io_(io), dispatcher_(dispatcher) {}
 
   ReadStatus read_line(std::string& line, std::size_t max_bytes) override;
   bool write_line(const std::string& line) override;
@@ -53,7 +54,7 @@ class HttpTransport final : public api::LineTransport {
   bool respond(int status, const char* reason, const std::string& content_type,
                const std::string& body, bool close_conn);
 
-  BufferedFd io_;
+  BufferedFd& io_;
   api::Dispatcher& dispatcher_;
   /// True between returning a POST body from read_line and framing its
   /// response in write_line.  The serving core's final shutdown

@@ -1,80 +1,67 @@
 #include "net/router.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cinttypes>
-#include <cmath>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
-#include <fcntl.h>
+#include <memory>
 #include <optional>
 
 #include "api/json.hpp"
-#include "api/server.hpp"
-#include "at/parser.hpp"
+#include "core/cdat.hpp"
+#include "net/client.hpp"
 #include "service/subtree_cache.hpp"
 
 namespace atcd::net {
 
 namespace {
 
-/// The router's own drain self-pipe (net::Server has its own; a process
-/// runs one front door, so last install wins either way).
-std::atomic<int> g_router_signal_pipe_wr{-1};
-
-extern "C" void router_drain_signal_handler(int) {
-  const int fd = g_router_signal_pipe_wr.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char b = 'q';
-    [[maybe_unused]] const ssize_t n = ::write(fd, &b, 1);
-  }
+/// The listener half of the router's options (Router::serve applies the
+/// line half).
+ServerOptions server_options(const RouterOptions& r) {
+  ServerOptions s;
+  s.host = r.host;
+  s.port = r.port;
+  s.max_conns = r.max_conns;
+  s.backlog = r.backlog;
+  return s;
 }
 
-/// Same deterministic number rendering as the registry exposition, so a
-/// merged metrics document looks exactly like a single registry's.
-std::string fmt_num(double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.2e18) {
-    std::snprintf(buf, sizeof buf, "%" PRId64, static_cast<std::int64_t>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.15g", v);
-    if (std::strtod(buf, nullptr) != v)
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
+/// Reads a registry's JSON exposition (obs::Exposition::to_json) back
+/// into its values; members of the wrong kind are skipped.
+obs::Exposition read_exposition(const api::json::Value& doc) {
+  using Kind = api::json::Value::Kind;
+  const auto object = [&](const api::json::Value& v, const char* key) {
+    const api::json::Value* o = v.find(key);
+    return o && o->kind == Kind::Object ? &o->members : nullptr;
+  };
+  const auto num = [](const api::json::Value& v, const char* key) {
+    const api::json::Value* f = v.find(key);
+    return f && f->kind == Kind::Number ? f->number : 0.0;
+  };
+  obs::Exposition e;
+  if (const auto* cs = object(doc, "counters"))
+    for (const auto& [name, v] : *cs)
+      if (v.kind == Kind::Number)
+        e.counters[name] = static_cast<std::uint64_t>(v.number);
+  if (const auto* gs = object(doc, "gauges"))
+    for (const auto& [name, v] : *gs)
+      if (v.kind == Kind::Number) e.gauges[name] = v.number;
+  if (const auto* hs = object(doc, "histograms"))
+    for (const auto& [name, v] : *hs)
+      if (v.kind == Kind::Object)
+        e.histograms[name] = {static_cast<std::uint64_t>(num(v, "count")),
+                              static_cast<std::uint64_t>(num(v, "sum")),
+                              num(v, "p50"), num(v, "p95"), num(v, "p99")};
+  return e;
 }
 
 }  // namespace
 
 std::uint64_t routing_hash(engine::Problem problem, const std::string& model) {
   try {
-    ParsedModel parsed = parse_model(model);
-    if (engine::is_probabilistic(problem)) {
-      CdpAt m;
-      m.tree = std::move(parsed.tree);
-      m.cost = std::move(parsed.cost);
-      m.damage = std::move(parsed.damage);
-      m.prob = std::move(parsed.prob);
-      m.validate();
-      return service::model_fingerprint(m);
-    }
-    CdAt m;
-    m.tree = std::move(parsed.tree);
-    m.cost = std::move(parsed.cost);
-    m.damage = std::move(parsed.damage);
-    m.validate();
-    return service::model_fingerprint(m);
+    std::shared_ptr<const CdAt> det;
+    std::shared_ptr<const CdpAt> prob;
+    parse_typed_model(model, engine::is_probabilistic(problem), &det, &prob);
+    return prob ? service::model_fingerprint(*prob)
+                : service::model_fingerprint(*det);
   } catch (...) {
     // Unparseable/invalid model: every shard produces the identical
     // typed error, so any deterministic choice works — FNV-1a over the
@@ -112,162 +99,36 @@ struct Router::Connection {
   }
 };
 
-Router::Router(RouterOptions options, obs::Registry* metrics)
-    : options_(std::move(options)) {
-  if (metrics) {
-    metrics_ = metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::Registry>();
-    metrics_ = owned_metrics_.get();
-  }
-}
-
-Router::~Router() {
-  request_drain();
-  wait();
-}
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      requests_(metrics_.counter("atcd_router_requests_total")),
+      forwards_(metrics_.counter("atcd_router_forwards_total")),
+      shard_errors_(metrics_.counter("atcd_router_shard_errors_total")),
+      server_(metrics_, server_options(options_),
+              [this](BufferedFd& io) { return serve(io); }) {}
 
 bool Router::start(std::string* error) {
   if (options_.shards.empty()) {
     if (error) *error = "router needs at least one --shard host:port";
     return false;
   }
-  listen_fd_ =
-      listen_tcp(options_.host, options_.port, options_.backlog, error);
-  if (!listen_fd_.valid()) return false;
-  port_ = local_port(listen_fd_.get());
-
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
-    if (error) *error = "pipe: cannot create drain self-pipe";
-    listen_fd_.reset();
-    return false;
-  }
-  ::fcntl(pipefd[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(pipefd[1], F_SETFD, FD_CLOEXEC);
-  pipe_rd_.reset(pipefd[0]);
-  pipe_wr_.reset(pipefd[1]);
-
-  accepted_ = &metrics_->counter("atcd_router_accepted_total");
-  rejected_ = &metrics_->counter("atcd_router_rejected_total");
-  requests_ = &metrics_->counter("atcd_router_requests_total");
-  forwards_ = &metrics_->counter("atcd_router_forwards_total");
-  shard_errors_ = &metrics_->counter("atcd_router_shard_errors_total");
-
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return true;
+  return server_.start(error);
 }
 
-void Router::request_drain() {
-  if (!pipe_wr_.valid()) return;
-  const char b = 'q';
-  [[maybe_unused]] const ssize_t n = ::write(pipe_wr_.get(), &b, 1);
-}
-
-void Router::install_signal_handlers() {
-  g_router_signal_pipe_wr.store(pipe_wr_.get(), std::memory_order_relaxed);
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = router_drain_signal_handler;
-  ::sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-}
-
-void Router::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-void Router::reject(Fd fd) {
-  rejected_->add();
-  BufferedFd io(std::move(fd));
-  io.write_all(
-      api::encode_response(
-          api::error_response(
-              "", api::ErrorCode::Capacity,
-              "connection limit reached (max " +
-                  std::to_string(options_.max_conns) + ")"),
-          false) +
-      "\n");
-}
-
-void Router::accept_loop() {
-  while (true) {
-    pollfd fds[2] = {{listen_fd_.get(), POLLIN, 0},
-                     {pipe_rd_.get(), POLLIN, 0}};
-    const int rc = ::poll(fds, 2, 250);
-    reap_finished();
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents & POLLIN) break;  // drain requested
-    if (!(fds[0].revents & POLLIN)) continue;
-
-    Fd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!conn.valid()) continue;
-    set_nodelay(conn.get());
-
-    std::uint64_t id;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conn_fds_.size() >= options_.max_conns) {
-        id = 0;
-      } else {
-        id = ++next_conn_id_;
-        conn_fds_.emplace(id, conn.get());
-      }
-    }
-    if (id == 0) {
-      reject(std::move(conn));
-      continue;
-    }
-    accepted_->add();
-    std::thread th([this, id, fd = std::move(conn)]() mutable {
-      connection_main(id, std::move(fd));
-    });
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conn_threads_.emplace(id, std::move(th));
-    }
-  }
-
-  listen_fd_.reset();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& [id, fd] : conn_fds_) ::shutdown(fd, SHUT_RD);
-  }
-  while (true) {
-    std::map<std::uint64_t, std::thread> remaining;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      remaining.swap(conn_threads_);
-      finished_.clear();
-    }
-    if (remaining.empty()) break;
-    for (auto& [id, th] : remaining)
-      if (th.joinable()) th.join();
-  }
-}
-
-void Router::reap_finished() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto it = finished_.begin(); it != finished_.end();) {
-      auto t = conn_threads_.find(*it);
-      if (t != conn_threads_.end()) {
-        done.push_back(std::move(t->second));
-        conn_threads_.erase(t);
-        it = finished_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (std::thread& th : done)
-    if (th.joinable()) th.join();
+std::size_t Router::serve(BufferedFd& io) {
+  Connection conn(*this);
+  TcpLineTransport transport(io);
+  // Synchronous (threads = 0): one request in flight per connection.
+  api::JsonServeOptions serve;
+  serve.max_line_bytes = options_.max_line_bytes;
+  serve.timing = options_.timing;
+  return api::serve_lines(
+      transport,
+      [&](const api::Request& request) {
+        requests_.add();
+        return route(conn, request);
+      },
+      metrics_, serve);
 }
 
 api::Response Router::forward(Connection& conn, std::size_t shard,
@@ -275,7 +136,7 @@ api::Response Router::forward(Connection& conn, std::size_t shard,
   std::string err;
   Client* client = conn.client(shard, &err);
   if (!client) {
-    shard_errors_->add(1);
+    shard_errors_.add();
     return api::error_response(
         request.id, api::ErrorCode::Internal,
         "shard " + std::to_string(shard) + " unreachable: " + err);
@@ -284,16 +145,15 @@ api::Response Router::forward(Connection& conn, std::size_t shard,
   if (!client->request(api::encode_request(request), &reply)) {
     // Drop the dead connection so the next request redials.
     conn.clients[shard].reset();
-    shard_errors_->add(1);
+    shard_errors_.add();
     return api::error_response(
         request.id, api::ErrorCode::Internal,
         "shard " + std::to_string(shard) + " connection lost");
   }
-  forwards_->add(1);
-  forwarded_.fetch_add(1);
+  forwards_.add();
   api::Decoded<api::Response> dec = api::decode_response(reply);
   if (dec.code != api::ErrorCode::Ok) {
-    shard_errors_->add(1);
+    shard_errors_.add();
     return api::error_response(
         request.id, api::ErrorCode::Internal,
         "shard " + std::to_string(shard) + ": bad response: " + dec.error);
@@ -354,14 +214,9 @@ api::Response Router::merged_stats(Connection& conn,
 
 api::Response Router::merged_metrics(Connection& conn,
                                      const api::Request& request) {
-  struct HistAgg {
-    std::uint64_t count = 0, sum = 0;
-    double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-  };
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistAgg> hists;
-
+  // The router is one more fleet member: its own instruments fold in
+  // with every shard's.
+  obs::Exposition fleet = metrics_.exposition();
   for (std::size_t s = 0; s < options_.shards.size(); ++s) {
     api::Response r = forward(conn, s, request);
     if (r.code != api::ErrorCode::Ok) return r;
@@ -376,81 +231,12 @@ api::Response Router::merged_metrics(Connection& conn,
       return api::error_response(
           request.id, api::ErrorCode::Internal,
           "shard " + std::to_string(s) + ": bad metrics json: " + perr);
-    if (const api::json::Value* cs = doc.find("counters");
-        cs && cs->kind == api::json::Value::Kind::Object)
-      for (const auto& [name, v] : cs->members)
-        if (v.kind == api::json::Value::Kind::Number)
-          counters[name] += static_cast<std::uint64_t>(v.number);
-    if (const api::json::Value* gs = doc.find("gauges");
-        gs && gs->kind == api::json::Value::Kind::Object)
-      for (const auto& [name, v] : gs->members)
-        if (v.kind == api::json::Value::Kind::Number) gauges[name] += v.number;
-    if (const api::json::Value* hs = doc.find("histograms");
-        hs && hs->kind == api::json::Value::Kind::Object)
-      for (const auto& [name, v] : hs->members) {
-        if (v.kind != api::json::Value::Kind::Object) continue;
-        HistAgg& h = hists[name];
-        const auto num = [&](const char* key) {
-          const api::json::Value* f = v.find(key);
-          return f && f->kind == api::json::Value::Kind::Number ? f->number
-                                                                : 0.0;
-        };
-        h.count += static_cast<std::uint64_t>(num("count"));
-        h.sum += static_cast<std::uint64_t>(num("sum"));
-        h.p50 = std::max(h.p50, num("p50"));
-        h.p95 = std::max(h.p95, num("p95"));
-        h.p99 = std::max(h.p99, num("p99"));
-      }
-  }
-
-  // Render the merged fleet view in exactly the registry's canonical
-  // shapes (obs::Registry::to_json / to_prometheus), so scrapers cannot
-  // tell a router from a single server.
-  api::MetricsPayload merged;
-  merged.json = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) merged.json += ',';
-    first = false;
-    merged.json += '"' + name + "\":" + fmt_u64(v);
-  }
-  merged.json += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) merged.json += ',';
-    first = false;
-    merged.json += '"' + name + "\":" + fmt_num(v);
-  }
-  merged.json += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : hists) {
-    if (!first) merged.json += ',';
-    first = false;
-    merged.json += '"' + name + "\":{\"count\":" + fmt_u64(h.count) +
-                   ",\"sum\":" + fmt_u64(h.sum) + ",\"p50\":" +
-                   fmt_num(h.p50) + ",\"p95\":" + fmt_num(h.p95) +
-                   ",\"p99\":" + fmt_num(h.p99) + '}';
-  }
-  merged.json += "}}";
-
-  for (const auto& [name, v] : counters)
-    merged.text +=
-        "# TYPE " + name + " counter\n" + name + ' ' + fmt_u64(v) + '\n';
-  for (const auto& [name, v] : gauges)
-    merged.text +=
-        "# TYPE " + name + " gauge\n" + name + ' ' + fmt_num(v) + '\n';
-  for (const auto& [name, h] : hists) {
-    merged.text += "# TYPE " + name + " summary\n";
-    merged.text += name + "{quantile=\"0.5\"} " + fmt_num(h.p50) + '\n';
-    merged.text += name + "{quantile=\"0.95\"} " + fmt_num(h.p95) + '\n';
-    merged.text += name + "{quantile=\"0.99\"} " + fmt_num(h.p99) + '\n';
-    merged.text += name + "_sum " + fmt_u64(h.sum) + '\n';
-    merged.text += name + "_count " + fmt_u64(h.count) + '\n';
+    fleet.merge(read_exposition(doc));
   }
 
   api::Response resp;
   resp.id = request.id;
-  resp.payload = std::move(merged);
+  resp.payload = api::MetricsPayload{fleet.to_json(), fleet.to_prometheus()};
   return resp;
 }
 
@@ -546,74 +332,11 @@ api::Response Router::route(Connection& conn, api::Request request) {
         request.id, api::ErrorCode::InvalidArgument,
         "snapshot ops are per-worker; run them against a shard directly");
 
-  // Shutdown is answered by the connection loop; anything else landing
-  // here is a programming error upstream.
+  // Shutdown: the serving core fills in the connection's handled count.
   api::Response resp;
   resp.id = request.id;
   resp.payload = api::ShutdownPayload{0};
   return resp;
-}
-
-void Router::connection_main(std::uint64_t id, Fd fd) {
-  std::size_t handled = 0;
-  {
-    BufferedFd io(std::move(fd));
-    Connection conn(*this);
-    bool sink_ok = true;
-    const auto emit = [&](const api::Response& resp) {
-      if (!sink_ok) return;
-      std::string line = api::encode_response(resp, options_.timing);
-      line.push_back('\n');
-      sink_ok = io.write_all(line);
-    };
-
-    std::string quit_id;
-    std::string raw;
-    while (sink_ok) {
-      const BufferedFd::ReadStatus status =
-          io.read_line(raw, options_.max_line_bytes);
-      if (status == BufferedFd::ReadStatus::Eof) break;
-      if (status == BufferedFd::ReadStatus::TooLong) {
-        emit(api::error_response(
-            "", api::ErrorCode::Capacity,
-            "input line exceeds " + std::to_string(options_.max_line_bytes) +
-                " bytes"));
-        continue;
-      }
-      const std::string line = api::detail::trim(raw);
-      if (line.empty() || line[0] == '#') continue;
-      api::Decoded<api::Request> dec = api::decode_request(line);
-      requests_->add(1);
-      if (dec.code != api::ErrorCode::Ok) {
-        emit(api::error_response(dec.value.id, dec.code, dec.error));
-        continue;
-      }
-      if (std::holds_alternative<api::ShutdownRequest>(dec.value.op)) {
-        quit_id = dec.value.id;
-        break;
-      }
-      const api::Request req = std::move(dec.value);
-      const api::Response resp = route(conn, req);
-      handled += api::handled_increment(req, resp);
-      emit(resp);
-    }
-
-    // The structured shutdown response, exactly like the serve loop:
-    // the last line a client reads — on quit and on EOF — is always
-    // kind=shutdown with the per-connection handled count.
-    if (sink_ok) {
-      api::Response resp;
-      resp.id = quit_id;
-      resp.payload = api::ShutdownPayload{handled};
-      emit(resp);
-    }
-
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn_fds_.erase(id);
-  }
-  handled_.fetch_add(handled);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  finished_.push_back(id);
 }
 
 }  // namespace atcd::net

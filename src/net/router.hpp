@@ -2,9 +2,11 @@
 /// \file router.hpp
 /// net::Router — a shard-by-canonical-hash front door over K workers.
 ///
-/// The router listens like net::Server (one accept loop, one thread per
-/// connection, self-pipe drain) but owns no solver: every request is
-/// forwarded over net::Client to one of K JSON-lines workers, chosen by
+/// The router runs on a net::Server (its accept loop, connection cap,
+/// drain and signal handling) and on the serving core (api::serve_lines:
+/// framing, line cap, typed decode errors, quit and the shutdown
+/// response), but owns no solver: its dispatch callable forwards every
+/// request over net::Client to one of K JSON-lines workers, chosen by
 /// the request's *canonical* model hash (service::model_fingerprint).
 /// The hash is invariant under node renaming and child reordering, so
 /// isomorphic resubmissions of one model — the result cache's whole
@@ -25,31 +27,34 @@
 ///     an unknown id is answered locally with the dispatcher's exact
 ///     no_such_session error.
 ///   * stats / metrics: fanned out to every shard and merged — counters
-///     and sums add, latency percentiles take the worst shard.
+///     and sums add, latency percentiles take the worst shard.  The
+///     metrics merge also folds in the router's own registry as one more
+///     fleet member, so a fleet counter sums over every process, router
+///     included.
 ///   * quit: answered locally with the structured shutdown response
 ///     (it ends the *client's* connection, not the fleet).
 ///
-/// Forwarding is lockstep per connection (one in-flight request per
-/// downstream connection), so a fast client is backpressured by its
+/// Instruments (the router's own registry, exposed through `metrics`):
+///   atcd_router_requests_total / atcd_router_forwards_total
+///   atcd_router_shard_errors_total
+///   and net::Server's atcd_net_* connection instruments.
+///
+/// Each connection is served synchronously: one in-flight request per
+/// downstream connection, so a fast client is backpressured by its
 /// slowest shard exactly as the serve-loop queue bound backpressures a
 /// single server.  Responses relay as decoded+re-encoded canonical
 /// envelopes; since both codecs are canonical, a routed response is
 /// byte-identical to the worker's (and, cache disposition aside, to an
 /// in-process dispatcher's — suites/golden.suite pins this).
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "api/api.hpp"
-#include "net/client.hpp"
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "obs/metrics.hpp"
 
 namespace atcd::net {
@@ -85,10 +90,7 @@ std::uint64_t routing_hash(engine::Problem problem, const std::string& model);
 
 class Router {
  public:
-  /// \p metrics is the instrument home (atcd_router_*); null = a
-  /// private registry.
-  explicit Router(RouterOptions options, obs::Registry* metrics = nullptr);
-  ~Router();
+  explicit Router(RouterOptions options);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -98,26 +100,26 @@ class Router {
   bool start(std::string* error);
 
   /// The bound port (after start(); resolves ephemeral binds).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return server_.port(); }
 
   /// Number of configured worker shards.
   std::size_t shard_count() const { return options_.shards.size(); }
 
-  /// Graceful drain, exactly net::Server's contract: stop accepting,
-  /// EOF every connection's read side, finish in-flight requests.
-  void request_drain();
+  /// Graceful drain, net::Server's: stop accepting, EOF every
+  /// connection's read side, finish in-flight requests.
+  void request_drain() { server_.request_drain(); }
 
   /// Blocks until the drain completes.
-  void wait();
+  void wait() { server_.wait(); }
 
   /// Routes SIGTERM/SIGINT to request_drain() of this router.
-  void install_signal_handlers();
+  void install_signal_handlers() { server_.install_signal_handlers(); }
 
   /// Requests forwarded to shards over the router's lifetime.
-  std::uint64_t forwarded() const { return forwarded_.load(); }
+  std::uint64_t forwarded() const { return forwards_.value(); }
 
   /// Solve/resolve/analyze requests handled across closed connections.
-  std::uint64_t handled() const { return handled_.load(); }
+  std::uint64_t handled() const { return server_.handled(); }
 
  private:
   /// Where a router session lives: the shard and the worker's own id.
@@ -126,37 +128,28 @@ class Router {
     std::uint64_t worker_session = 0;
   };
 
-  /// Per-connection forwarding state: one lazy net::Client per shard
-  /// (lockstep request/response, so one in-flight request per shard
-  /// per connection).
+  /// Per-connection forwarding state: one lazy net::Client per shard.
   struct Connection;
 
-  void accept_loop();
-  void connection_main(std::uint64_t id, Fd fd);
-  void reject(Fd fd);
-  void reap_finished();
+  /// Serves one client connection (net::Server's per-connection
+  /// function).
+  std::size_t serve(BufferedFd& io);
 
   /// Forwards \p request to \p shard and decodes the worker's reply.
   /// Transport or decode failures come back as typed Internal errors.
   api::Response forward(Connection& conn, std::size_t shard,
                         const api::Request& request);
-  /// Full routing switch (everything except quit, which the connection
-  /// loop answers locally).
+  /// Full routing switch: the serving core's dispatch callable.
   api::Response route(Connection& conn, api::Request request);
   api::Response merged_stats(Connection& conn, const api::Request& request);
   api::Response merged_metrics(Connection& conn,
                                const api::Request& request);
 
   RouterOptions options_;
-  std::unique_ptr<obs::Registry> owned_metrics_;
-  obs::Registry* metrics_ = nullptr;
-
-  Fd listen_fd_;
-  Fd pipe_rd_, pipe_wr_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<std::uint64_t> forwarded_{0};
-  std::atomic<std::uint64_t> handled_{0};
+  obs::Registry metrics_;
+  obs::Counter& requests_;
+  obs::Counter& forwards_;
+  obs::Counter& shard_errors_;
 
   /// Router-global session table: ids are sequential from 1 (the same
   /// id discipline as a single dispatcher's SessionManager).
@@ -164,17 +157,9 @@ class Router {
   std::unordered_map<std::uint64_t, SessionRoute> sessions_;
   std::uint64_t next_session_ = 0;
 
-  mutable std::mutex conns_mu_;
-  std::map<std::uint64_t, int> conn_fds_;
-  std::map<std::uint64_t, std::thread> conn_threads_;
-  std::vector<std::uint64_t> finished_;
-  std::uint64_t next_conn_id_ = 0;
-
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
-  obs::Counter* requests_ = nullptr;
-  obs::Counter* forwards_ = nullptr;
-  obs::Counter* shard_errors_ = nullptr;
+  /// Declared last: its destructor drains and joins the connection
+  /// threads while everything above is still alive.
+  Server server_;
 };
 
 }  // namespace atcd::net

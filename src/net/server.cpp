@@ -8,7 +8,6 @@
 #include <csignal>
 #include <cstring>
 #include <fcntl.h>
-#include <memory>
 
 #include "api/json.hpp"
 #include "net/http.hpp"
@@ -17,29 +16,6 @@
 namespace atcd::net {
 
 namespace {
-
-/// Raw JSON-lines transport: the serving core's lines map 1:1 onto the
-/// socket's lines.
-class TcpLineTransport final : public api::LineTransport {
- public:
-  explicit TcpLineTransport(BufferedFd io) : io_(std::move(io)) {}
-
-  ReadStatus read_line(std::string& line, std::size_t max_bytes) override {
-    return io_.read_line(line, max_bytes);
-  }
-
-  bool write_line(const std::string& line) override {
-    // One send per response line keeps latency at one TCP_NODELAY
-    // packet instead of two.
-    buf_.assign(line);
-    buf_.push_back('\n');
-    return io_.write_all(buf_);
-  }
-
- private:
-  BufferedFd io_;
-  std::string buf_;
-};
 
 /// The self-pipe write end the signal handlers poke.  One byte per
 /// signal; the accept loop treats any readable byte as "drain now".
@@ -55,8 +31,34 @@ extern "C" void drain_signal_handler(int) {
 
 }  // namespace
 
+bool TcpLineTransport::write_line(const std::string& line) {
+  // One send per response line keeps latency at one TCP_NODELAY packet
+  // instead of two.
+  buf_.assign(line);
+  buf_.push_back('\n');
+  return io_.write_all(buf_);
+}
+
+Server::Server(obs::Registry& metrics, ServerOptions options,
+               ConnectionFn serve)
+    : metrics_(metrics), options_(std::move(options)),
+      serve_(std::move(serve)) {}
+
 Server::Server(api::Dispatcher& dispatcher, ServerOptions options)
-    : dispatcher_(dispatcher), options_(std::move(options)) {}
+    : Server(dispatcher.metrics(), options,
+             [&dispatcher, http = options.http,
+              serve = options.serve](BufferedFd& io) -> std::size_t {
+               if (http) {
+                 // HTTP/1.1 responses must come back in request order;
+                 // serve the connection synchronously.
+                 api::JsonServeOptions sync = serve;
+                 sync.threads = 0;
+                 HttpTransport transport(io, dispatcher);
+                 return api::serve_lines(transport, dispatcher, sync);
+               }
+               TcpLineTransport transport(io);
+               return api::serve_lines(transport, dispatcher, serve);
+             }) {}
 
 Server::~Server() {
   request_drain();
@@ -80,13 +82,12 @@ bool Server::start(std::string* error) {
   pipe_rd_.reset(pipefd[0]);
   pipe_wr_.reset(pipefd[1]);
 
-  obs::Registry& reg = dispatcher_.metrics();
-  accepted_ = &reg.counter("atcd_net_accepted_total");
-  rejected_ = &reg.counter("atcd_net_rejected_total");
-  bytes_read_ = &reg.counter("atcd_net_bytes_read_total");
-  bytes_written_ = &reg.counter("atcd_net_bytes_written_total");
-  connections_ = &reg.gauge("atcd_net_connections");
-  conn_requests_ = &reg.histogram("atcd_net_connection_requests");
+  accepted_ = &metrics_.counter("atcd_net_accepted_total");
+  rejected_ = &metrics_.counter("atcd_net_rejected_total");
+  bytes_read_ = &metrics_.counter("atcd_net_bytes_read_total");
+  bytes_written_ = &metrics_.counter("atcd_net_bytes_written_total");
+  connections_ = &metrics_.gauge("atcd_net_connections");
+  conn_requests_ = &metrics_.histogram("atcd_net_connection_requests");
 
   accept_thread_ = std::thread([this] { accept_loop(); });
   return true;
@@ -223,25 +224,15 @@ void Server::reap_finished() {
 }
 
 void Server::connection_main(std::uint64_t id, Fd fd) {
-  api::JsonServeOptions serve = options_.serve;
   std::size_t n = 0;
   {
     BufferedFd io(std::move(fd), ByteCounters{bytes_read_, bytes_written_});
-    std::unique_ptr<api::LineTransport> transport;
-    if (options_.http) {
-      // HTTP/1.1 responses must come back in request order; serve the
-      // connection synchronously.
-      serve.threads = 0;
-      transport = std::make_unique<HttpTransport>(std::move(io), dispatcher_);
-    } else {
-      transport = std::make_unique<TcpLineTransport>(std::move(io));
-    }
-    n = api::serve_lines(*transport, dispatcher_, serve);
+    n = serve_(io);
 
-    // Deregister while the transport still owns the (open) fd: the
-    // drain path shutdown()s every registered fd, and a closed fd
-    // number can be recycled by a new accept — it must leave the table
-    // before it can be closed.
+    // Deregister while io still owns the (open) fd: the drain path
+    // shutdown()s every registered fd, and a closed fd number can be
+    // recycled by a new accept — it must leave the table before it can
+    // be closed.
     std::lock_guard<std::mutex> lock(conns_mu_);
     conn_fds_.erase(id);
     connections_->set(static_cast<double>(conn_fds_.size()));

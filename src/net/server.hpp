@@ -1,17 +1,20 @@
 #pragma once
 /// \file server.hpp
-/// net::Server — the multi-client TCP (and minimal HTTP/1.1) front-end
-/// of the serving stack.
+/// net::Server — the one accept loop of the serving stack: multi-client
+/// TCP, raw JSON lines or minimal HTTP/1.1.
 ///
 /// Architecture: one blocking accept loop (poll over the listen socket
-/// and a self-pipe), one thread per connection, every connection
-/// running the same transport-agnostic serving core (api::serve_lines)
+/// and a self-pipe), one thread per connection, each running the
+/// server's per-connection function on the accepted socket.  The
+/// Dispatcher constructor's function is the transport-agnostic serving
+/// core (api::serve_lines) over a TcpLineTransport or HttpTransport,
 /// against one shared, thread-safe api::Dispatcher — so all
 /// connections hit the same caches, sessions, and metrics registry.
 /// Per-connection pipelining, queue bounds, and line caps come from
 /// api::JsonServeOptions exactly as on the stdin transport; HTTP
 /// connections are forced synchronous (HTTP/1.1 responses must be
-/// ordered).
+/// ordered).  net::Router brings its own function: the same serving
+/// core with its forwarding switch as the dispatch callable.
 ///
 /// Capacity: at `max_conns` open connections a new client is answered
 /// with one typed `capacity` error line (HTTP: 503 + the same JSON
@@ -23,11 +26,13 @@
 /// open connection gets `::shutdown(SHUT_RD)` — its reader sees EOF,
 /// finishes the requests already in flight, and writes the structured
 /// shutdown response as its final line — and wait() returns once the
-/// last connection thread has exited.  The signal handler itself only
-/// writes one byte to a self-pipe (async-signal-safe); all real work
-/// happens on the accept thread.
+/// last connection thread has exited.  The server owns each connection's
+/// fd and deregisters it before closing it, so a drain never shuts down
+/// a recycled fd number.  The signal handler itself only writes one
+/// byte to a self-pipe (async-signal-safe); all real work happens on
+/// the accept thread.
 ///
-/// Instruments (the PR 7 registry, shared with the dispatcher):
+/// Instruments (in the registry the server was given):
 ///   atcd_net_accepted_total / atcd_net_rejected_total
 ///   atcd_net_bytes_read_total / atcd_net_bytes_written_total
 ///   atcd_net_write_errors_total   (from the serving core)
@@ -37,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -64,8 +70,36 @@ struct ServerOptions {
   api::JsonServeOptions serve;
 };
 
+/// Raw JSON-lines transport over a borrowed socket: the serving core's
+/// lines map 1:1 onto the socket's lines.
+class TcpLineTransport final : public api::LineTransport {
+ public:
+  explicit TcpLineTransport(BufferedFd& io) : io_(io) {}
+
+  ReadStatus read_line(std::string& line, std::size_t max_bytes) override {
+    return io_.read_line(line, max_bytes);
+  }
+  bool write_line(const std::string& line) override;
+
+ private:
+  BufferedFd& io_;
+  std::string buf_;
+};
+
 class Server {
  public:
+  /// Serves one accepted connection on its own thread and returns the
+  /// requests it handled.  The server keeps the fd open until it
+  /// returns.
+  using ConnectionFn = std::function<std::size_t(BufferedFd&)>;
+
+  /// Runs \p serve on every accepted connection; the server's
+  /// instruments live in \p metrics.  The server itself ignores
+  /// options.serve: \p serve applies the line options it needs.
+  Server(obs::Registry& metrics, ServerOptions options, ConnectionFn serve);
+
+  /// JSON lines (or HTTP with options.http) through api::serve_lines
+  /// against \p dispatcher, counting in its registry.
   Server(api::Dispatcher& dispatcher, ServerOptions options);
   ~Server();
 
@@ -106,8 +140,9 @@ class Server {
   void reject(Fd fd);
   void reap_finished();
 
-  api::Dispatcher& dispatcher_;
+  obs::Registry& metrics_;
   ServerOptions options_;
+  ConnectionFn serve_;
 
   Fd listen_fd_;
   Fd pipe_rd_, pipe_wr_;

@@ -178,78 +178,101 @@ void append_u64(std::string* out, std::uint64_t v) {
 
 }  // namespace
 
-std::string Registry::to_json() const {
+Exposition Registry::exposition() const {
   std::lock_guard<std::mutex> lock(mu_);
+  Exposition e;
+  for (const auto& [name, c] : counters_) e.counters.emplace(name, c->value());
+  for (const auto& [name, g] : gauges_) e.gauges.emplace(name, g->value());
+  for (const auto& [name, h] : histograms_)
+    e.histograms.emplace(
+        name, Exposition::Summary{h->count(), h->sum(), h->percentile(0.50),
+                                  h->percentile(0.95), h->percentile(0.99)});
+  return e;
+}
+
+void Exposition::merge(const Exposition& other) {
+  for (const auto& [name, v] : other.counters) counters[name] += v;
+  for (const auto& [name, v] : other.gauges) gauges[name] += v;
+  for (const auto& [name, o] : other.histograms) {
+    Summary& h = histograms[name];
+    h.count += o.count;
+    h.sum += o.sum;
+    h.p50 = std::max(h.p50, o.p50);
+    h.p95 = std::max(h.p95, o.p95);
+    h.p99 = std::max(h.p99, o.p99);
+  }
+}
+
+std::string Exposition::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, v] : counters) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += name;
     out += "\":";
-    append_u64(&out, c->value());
+    append_u64(&out, v);
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, v] : gauges) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += name;
     out += "\":";
-    append_num(&out, g->value());
+    append_num(&out, v);
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : histograms) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += name;
     out += "\":{\"count\":";
-    append_u64(&out, h->count());
+    append_u64(&out, h.count);
     out += ",\"sum\":";
-    append_u64(&out, h->sum());
+    append_u64(&out, h.sum);
     out += ",\"p50\":";
-    append_num(&out, h->percentile(0.50));
+    append_num(&out, h.p50);
     out += ",\"p95\":";
-    append_num(&out, h->percentile(0.95));
+    append_num(&out, h.p95);
     out += ",\"p99\":";
-    append_num(&out, h->percentile(0.99));
+    append_num(&out, h.p99);
     out += '}';
   }
   out += "}}";
   return out;
 }
 
-std::string Registry::to_prometheus() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::string Exposition::to_prometheus() const {
   std::string out;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, v] : counters) {
     out += "# TYPE " + name + " counter\n" + name + ' ';
-    append_u64(&out, c->value());
+    append_u64(&out, v);
     out += '\n';
   }
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, v] : gauges) {
     out += "# TYPE " + name + " gauge\n" + name + ' ';
-    append_num(&out, g->value());
+    append_num(&out, v);
     out += '\n';
   }
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : histograms) {
     out += "# TYPE " + name + " summary\n";
-    const double qs[] = {0.50, 0.95, 0.99};
+    const double qs[] = {h.p50, h.p95, h.p99};
     const char* labels[] = {"0.5", "0.95", "0.99"};
     for (int i = 0; i < 3; ++i) {
       out += name + "{quantile=\"" + labels[i] + "\"} ";
-      append_num(&out, h->percentile(qs[i]));
+      append_num(&out, qs[i]);
       out += '\n';
     }
     out += name + "_sum ";
-    append_u64(&out, h->sum());
+    append_u64(&out, h.sum);
     out += '\n';
     out += name + "_count ";
-    append_u64(&out, h->count());
+    append_u64(&out, h.count);
     out += '\n';
   }
   return out;

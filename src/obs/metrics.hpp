@@ -25,12 +25,13 @@
 ///    recorded multiset, no interpolation.
 ///
 /// A Registry owns instruments by name (get-or-create under a mutex;
-/// returned references stay valid for the registry's lifetime) and
-/// renders them in two canonical forms: a JSON object and a
-/// Prometheus-style text exposition.  Both iterate names in sorted
-/// order, so the output byte-layout is a pure function of the
-/// instrument values — the `metrics` op and `--metrics-dump` stay
-/// deterministic.
+/// returned references stay valid for the registry's lifetime).  Its
+/// exposition() is an Exposition: the instrument values in sorted maps,
+/// rendered in two canonical forms, a JSON object and a
+/// Prometheus-style text exposition.  The output byte-layout is a pure
+/// function of the values, so the `metrics` op and `--metrics-dump`
+/// stay deterministic, and a merged fleet view (net::Router) renders
+/// exactly like one registry.
 ///
 /// Ownership convention across the stack: subsystems take an
 /// `obs::Registry*` in their config/options and fall back to a private
@@ -190,6 +191,35 @@ class Histogram {
   std::vector<const Histogram*> parts_;  ///< guarded by parts_mu_
 };
 
+/// Instrument values as exposed: the one writer of both exposition
+/// shapes.  std::map: sorted iteration gives the canonical order.
+struct Exposition {
+  /// A histogram as exposed: totals plus three percentiles.
+  struct Summary {
+    std::uint64_t count = 0, sum = 0;
+    double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+  };
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Summary> histograms;
+
+  /// Folds \p other in, as for a fleet of processes: counters, gauges
+  /// and histogram counts and sums add; percentiles do not add, so each
+  /// takes the larger.
+  void merge(const Exposition& other);
+
+  /// Canonical JSON exposition:
+  ///   {"counters":{...},"gauges":{...},
+  ///    "histograms":{"name":{"count":n,"sum":s,"p50":..,"p95":..,"p99":..}}}
+  /// Names sorted; integral values rendered without a decimal point.
+  std::string to_json() const;
+
+  /// Prometheus-style text exposition: counters and gauges as
+  /// `name value` samples, histograms as summaries (quantile-labeled
+  /// samples plus `_sum`/`_count`).  Names sorted.
+  std::string to_prometheus() const;
+};
+
 /// Name -> instrument home.  get-or-create under a mutex; returned
 /// references stay valid for the registry's lifetime.  A name denotes
 /// exactly one instrument kind — asking for an existing name with a
@@ -205,16 +235,11 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Canonical JSON exposition:
-  ///   {"counters":{...},"gauges":{...},
-  ///    "histograms":{"name":{"count":n,"sum":s,"p50":..,"p95":..,"p99":..}}}
-  /// Names sorted; integral values rendered without a decimal point.
-  std::string to_json() const;
+  /// A snapshot of every instrument's value.
+  Exposition exposition() const;
 
-  /// Prometheus-style text exposition: counters and gauges as
-  /// `name value` samples, histograms as summaries (quantile-labeled
-  /// samples plus `_sum`/`_count`).  Names sorted.
-  std::string to_prometheus() const;
+  std::string to_json() const { return exposition().to_json(); }
+  std::string to_prometheus() const { return exposition().to_prometheus(); }
 
  private:
   mutable std::mutex mu_;

@@ -218,23 +218,7 @@ std::vector<StagedResult> decode_result_section(const std::string& payload) {
       corrupt("model kind does not match problem");
     const std::string model_text = r.str();
     try {
-      ParsedModel parsed = parse_model(model_text);
-      if (kind == 1) {
-        auto m = std::make_shared<CdpAt>();
-        m->tree = std::move(parsed.tree);
-        m->cost = std::move(parsed.cost);
-        m->damage = std::move(parsed.damage);
-        m->prob = std::move(parsed.prob);
-        m->validate();
-        s.prob = std::move(m);
-      } else {
-        auto m = std::make_shared<CdAt>();
-        m->tree = std::move(parsed.tree);
-        m->cost = std::move(parsed.cost);
-        m->damage = std::move(parsed.damage);
-        m->validate();
-        s.det = std::move(m);
-      }
+      parse_typed_model(model_text, kind == 1, &s.det, &s.prob);
     } catch (const std::exception& e) {
       corrupt(std::string("embedded model does not parse: ") + e.what());
     }

@@ -93,23 +93,8 @@ Response SolveService::handle(const Request& request) {
   if (!req.det && !req.prob) {
     obs::SpanScope span("service.parse");
     try {
-      ParsedModel parsed = parse_model(req.model_text);
-      if (engine::is_probabilistic(req.problem)) {
-        auto m = std::make_shared<CdpAt>();
-        m->tree = std::move(parsed.tree);
-        m->cost = std::move(parsed.cost);
-        m->damage = std::move(parsed.damage);
-        m->prob = std::move(parsed.prob);
-        m->validate();
-        req.prob = std::move(m);
-      } else {
-        auto m = std::make_shared<CdAt>();
-        m->tree = std::move(parsed.tree);
-        m->cost = std::move(parsed.cost);
-        m->damage = std::move(parsed.damage);
-        m->validate();
-        req.det = std::move(m);
-      }
+      parse_typed_model(req.model_text, engine::is_probabilistic(req.problem),
+                        &req.det, &req.prob);
     } catch (const std::exception& e) {
       resp.result.error = e.what();
       return finish(std::move(resp), t0);

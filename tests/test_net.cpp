@@ -674,6 +674,8 @@ TEST(NetRouter, StatsAndMetricsSumOverShards) {
   EXPECT_NE(mp->text.find("# TYPE atcd_api_solves_total counter\n"
                           "atcd_api_solves_total 2\n"),
             std::string::npos);
+  // The router's own instruments are part of the fleet view.
+  EXPECT_GT(counter("atcd_router_requests_total"), 0u);
 }
 
 TEST(NetRouter, UnreachableShardIsATypedInternalError) {

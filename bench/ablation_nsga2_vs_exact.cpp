@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                              " is approximate and cannot serve as the "
                              "exact reference front");
     used = b.name();
-    return b.cdpf(m);
+    return b.cdpf(m, {});
   };
 
   const auto panda = casestudies::make_panda().deterministic();

@@ -84,11 +84,11 @@ inline Fig7Engine fig7_engine(const Fig7EngineSpec& spec,
   e.run = [&b, problem](const CdpAt& m) {
     if (engine::is_probabilistic(problem)) {
       if (!b.supports(problem, engine::traits_of(m))) return false;
-      (void)b.cedpf(m);
+      (void)b.cedpf(m, {});
     } else {
       const CdAt det = m.deterministic();
       if (!b.supports(problem, engine::traits_of(det))) return false;
-      (void)b.cdpf(det);
+      (void)b.cdpf(det, {});
     }
     return true;
   };

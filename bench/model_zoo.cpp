@@ -110,9 +110,9 @@ Probe probe_solve(const engine::Backend& b, const CdAt& m,
   if (pid == 0) {
     try {
       if (p.problem == engine::Problem::Cdpf)
-        (void)b.cdpf(m);
+        (void)b.cdpf(m, {});
       else
-        (void)b.dgc(m, p.bound);
+        (void)b.dgc(m, p.bound, {});
     } catch (const Error&) {
       _exit(2);
     } catch (...) {
@@ -231,9 +231,9 @@ int main(int argc, char** argv) {
               for (std::size_t r = 0; r < runs && !over_budget; ++r) {
                 Timer timer;
                 if (p.problem == engine::Problem::Cdpf)
-                  (void)b.cdpf(m);
+                  (void)b.cdpf(m, {});
                 else
-                  (void)b.dgc(m, p.bound);
+                  (void)b.dgc(m, p.bound, {});
                 const double secs = timer.seconds();
                 times.push_back(secs);
                 if (secs > budget_s) over_budget = true;

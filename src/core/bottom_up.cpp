@@ -49,14 +49,6 @@ struct Sweep {
   const BottomUpOptions& opt;
 
   std::vector<AttrTriple> at(NodeId v) const {
-    std::vector<AttrTriple> memoized;
-    if (opt.visitor && opt.visitor->lookup(v, &memoized)) return memoized;
-    std::vector<AttrTriple> r = compute(v);
-    if (opt.visitor) opt.visitor->store(v, r);
-    return r;
-  }
-
-  std::vector<AttrTriple> compute(NodeId v) const {
     const auto& n = tree.node(v);
     if (n.type == NodeType::BAS) {
       std::vector<AttrTriple> r;
@@ -95,15 +87,10 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
         "bottom_up: model is DAG-shaped; sub-AT attack spaces are not "
         "disjoint, use the BILP engine (deterministic) or the BDD engine "
         "(probabilistic) instead");
-  if (opt.ignore_activation && opt.visitor) {
-    // Never let the unsound ablation's fronts reach (or read) a memo.
-    BottomUpOptions sanitized = opt;
-    sanitized.visitor = nullptr;
-    return Sweep{tree, cost, damage, prob, sanitized}.at(tree.root());
-  }
-  // The ablation options only exist on the recursive sweep; everything
-  // else runs the arena/SoA stack machine (byte-identical results, see
-  // bottom_up_arena.cpp).
+  // The ablation options only exist on the recursive sweep, which takes
+  // no memo, so the unsound ablation's fronts cannot reach a cache.
+  // Everything else runs the arena/SoA stack machine (byte-identical
+  // results, see bottom_up_arena.cpp).
   if (opt.pointer_path || opt.quadratic_prune || opt.ignore_activation)
     return Sweep{tree, cost, damage, prob, opt}.at(tree.root());
   return bottom_up_root_front_arena(tree, cost, damage, prob, opt);

@@ -7,15 +7,16 @@
 ///
 ///   * nodes are visited in DFS order over the post-order arena,
 ///     children left to right;
-///   * the visitor protocol is preserved exactly — lookup() fires
-///     pre-order when a node is *entered* (a hit means its subtree is
-///     never descended into), store() fires post-order when a node
-///     finishes, before the parent moves to its next child.  A memo
-///     populated mid-sweep therefore serves later isomorphic subtrees
-///     exactly as it does on the recursive path;
 ///   * gates fold children incrementally (combine with the accumulator,
 ///     then prune) and add their own damage before the final prune, in
 ///     the same FP operation order as combine()/prune_min().
+///
+/// It is also the only sweep that speaks the SubtreeVisitor protocol:
+/// lookup() fires pre-order when a node is *entered* (a hit pushes the
+/// memo's SoA view and the subtree is never descended into), store()
+/// fires post-order with the node's finished frame, before the parent
+/// moves to its next child.  A memo populated mid-sweep therefore serves
+/// later isomorphic subtrees of the same solve.
 ///
 /// Fronts live in a TripleFrontStack: one frame per live accumulator,
 /// shared SoA columns, stack discipline.  Peak memory tracks the DFS
@@ -59,15 +60,13 @@ struct Frame {
 };
 
 /// The sweep's working memory, hoisted out of ArenaSweep so a
-/// thread-local instance can serve every solve on the thread: columns,
-/// scratch vectors and memo buffers keep their high-water capacity, so a
-/// warm re-solve (the session pattern) runs allocation-free end to end.
+/// thread-local instance can serve every solve on the thread: columns
+/// and scratch vectors keep their high-water capacity, so a warm
+/// re-solve (the session pattern) runs allocation-free end to end.
 struct SweepScratch {
   TripleFrontStack s{0};
-  TripleBuf buf;                 // scratch for combine / finish
+  TripleBuf buf;  // scratch for combine / finish
   PruneScratch scratch;
-  std::vector<AttrTriple> memo;  // lookup() target, reused
-  std::vector<AttrTriple> aos;   // store() argument, reused
   std::vector<Frame> frames;
 
   void rearm(std::uint32_t wpa) {
@@ -97,8 +96,6 @@ struct ArenaSweep {
   TripleFrontStack& s;
   TripleBuf& buf;
   PruneScratch& scratch;
-  std::vector<AttrTriple>& memo;
-  std::vector<AttrTriple>& aos;
   std::vector<Frame>& frames;
 
   explicit ArenaSweep(const ArenaTree& at_, const std::vector<double>& c,
@@ -115,8 +112,6 @@ struct ArenaSweep {
         s(ws.s),
         buf(ws.buf),
         scratch(ws.scratch),
-        memo(ws.memo),
-        aos(ws.aos),
         frames(ws.frames) {
     ws.rearm(wpa);
   }
@@ -134,31 +129,11 @@ struct ArenaSweep {
   /// BAS base case.  On success the front is pushed onto `s` and true is
   /// returned; otherwise a gate frame is pushed onto `frames`.
   bool enter(std::uint32_t a) {
-    if (opt.visitor) {
-      // Prefer the SoA-native lookup (a hit is four contiguous column
-      // copies); only a visitor without SoA storage falls through to
-      // lookup_ref — never after a kMiss, so stats count each probe
-      // exactly once.  `memo` is deliberately NOT cleared first:
-      // lookup() overwrites it on a hit (the documented contract), and
-      // reusing the triples' witness storage keeps warm re-solves
-      // allocation-free.
-      TripleView hv;
-      switch (opt.visitor->lookup_view(at.orig_of(a), &hv)) {
-        case SubtreeVisitor::ViewResult::kHit:
-          s.push_view(hv);
-          note_front();
-          return true;
-        case SubtreeVisitor::ViewResult::kMiss:
-          break;
-        case SubtreeVisitor::ViewResult::kUnsupported:
-          if (const std::vector<AttrTriple>* hit =
-                  opt.visitor->lookup_ref(at.orig_of(a), &memo)) {
-            s.push_aos(*hit, nbits);
-            note_front();
-            return true;
-          }
-          break;
-      }
+    TripleView hit;
+    if (opt.visitor && opt.visitor->lookup(at.orig_of(a), &hit)) {
+      s.push_view(hit);
+      note_front();
+      return true;
     }
     if (at.is_bas(a)) {
       const NodeId v = at.orig_of(a);
@@ -174,7 +149,7 @@ struct ArenaSweep {
       prune_select(buf.view(), opt.budget, &scratch);
       s.push_select(buf.view(), scratch.idx);
       note_front();
-      if (opt.visitor) opt.visitor->store_soa(v, s.from_top(0), nbits, &aos);
+      if (opt.visitor) opt.visitor->store(v, s.from_top(0));
       return true;
     }
     frames.push_back({a, at.child_offsets()[a]});
@@ -217,8 +192,7 @@ struct ArenaSweep {
         prune_select(s.from_top(0), opt.budget, &scratch);
         s.compact_top(scratch.idx, &scratch.tmp);
         note_front();
-        if (opt.visitor)
-          opt.visitor->store_soa(at.orig_of(f.a), s.from_top(0), nbits, &aos);
+        if (opt.visitor) opt.visitor->store(at.orig_of(f.a), s.from_top(0));
         frames.pop_back();
         if (!frames.empty()) fold_child(frames.back());
       }

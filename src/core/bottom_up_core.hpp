@@ -9,6 +9,12 @@
 /// values in {0,1}, so one engine serves both settings with no loss of
 /// exactness.  The deterministic/probabilistic front-ends live in
 /// bottom_up.hpp / bottom_up_prob.hpp.
+///
+/// Two sweeps implement the engine.  The arena/SoA stack machine
+/// (bottom_up_arena.cpp) serves every solve and is the only one that
+/// consults a SubtreeVisitor memo.  The recursive pointer sweep over AoS
+/// fronts (bottom_up.cpp) is the byte-identical test oracle and the
+/// baseline and ablation leg of the benches; it never sees a memo.
 
 #include <vector>
 
@@ -18,7 +24,7 @@
 
 namespace atcd::detail {
 
-/// Per-node memoization hook for the bottom-up sweep.
+/// Per-node memoization hook for the arena bottom-up sweep.
 ///
 /// The sweep is compositional: the pruned front C^P_U(v) of a node
 /// depends only on v's subtree (tree shape plus decorations below v) and
@@ -27,61 +33,25 @@ namespace atcd::detail {
 /// *distinct* models that share an isomorphic subtree
 /// (service/subtree_cache.hpp keys entries by a canonical subtree hash).
 ///
-/// The sweep consults lookup() before computing a node and offers the
-/// computed front to store() afterwards.  Witnesses are exchanged in the
-/// host model's full BAS index space; implementations that cache across
-/// models translate to/from a canonical subtree-local space internally.
-/// A visitor is bound to one (model, budget) pair for one solve call and
-/// is used from a single thread.
+/// The arena sweep (bottom_up_arena.cpp) calls lookup() when it enters a
+/// node — a hit means the subtree is never descended into — and offers
+/// the computed front to store() when the node finishes.  Fronts are
+/// exchanged as SoA views (pareto/front_soa.hpp) whose witnesses are in
+/// the host model's full BAS index space, ceil(bas_count / 64) words per
+/// row; implementations that cache across models translate to/from a
+/// canonical subtree-local space internally.  A visitor is bound to one
+/// (model, budget) pair for one solve call and is used from a single
+/// thread.
 class SubtreeVisitor {
  public:
   virtual ~SubtreeVisitor() = default;
-  /// Returns true and fills *out with node v's pruned front.  *out may
-  /// still hold a previous lookup's content on entry (sweeps reuse the
-  /// buffer so warm re-solves stay allocation-free); implementations
-  /// must overwrite it (assign / clear-then-fill), never append.  On a
-  /// miss *out is left unspecified.
-  virtual bool lookup(NodeId v, std::vector<AttrTriple>* out) = 0;
-  /// Offers node v's computed pruned front for memoization.
-  virtual void store(NodeId v, const std::vector<AttrTriple>& front) = 0;
-
-  // -- Optional fast paths (arena sweep).  Overrides must be observably
-  // identical to the lookup()/store() pair — same hit/miss decisions,
-  // same front values, same side effects (stats, promotions) — so that
-  // the two sweeps stay byte- and protocol-equivalent.  The defaults
-  // adapt via *scratch, which the caller owns and reuses across calls.
-
-  /// Zero-copy lookup: a pointer to node v's memoized front (valid until
-  /// the next call on this visitor), or null on a miss.
-  virtual const std::vector<AttrTriple>* lookup_ref(
-      NodeId v, std::vector<AttrTriple>* scratch) {
-    return lookup(v, scratch) ? scratch : nullptr;
-  }
-
-  /// Outcome of lookup_view(): kUnsupported means the visitor has no SoA
-  /// storage and the caller must fall back to lookup_ref()/lookup() —
-  /// only then, so hit/miss stats are counted exactly once.
-  enum class ViewResult { kUnsupported, kMiss, kHit };
-
-  /// SoA-native lookup: on a hit, fills *out with a view of node v's
-  /// memoized front (witness stride ceil(nbits / 64) words per row, nbits
-  /// being the host model's BAS count; valid until the next call on this
-  /// visitor).  Visitors that memoize in SoA form override this so an
-  /// arena-sweep hit is a straight column copy — no AoS materialization,
-  /// no per-triple pointer chasing.
-  virtual ViewResult lookup_view(NodeId /*v*/, TripleView* /*out*/) {
-    return ViewResult::kUnsupported;
-  }
-
-  /// SoA-side store: \p f holds exactly the front store() would receive,
-  /// as parallel columns with ceil(nbits / 64) witness words per row.
-  /// Implementations with their own storage convert straight into it,
-  /// skipping the intermediate AoS materialization.
-  virtual void store_soa(NodeId v, const TripleView& f, std::size_t nbits,
-                         std::vector<AttrTriple>* scratch) {
-    view_to_aos_into(f, nbits, scratch);
-    store(v, *scratch);
-  }
+  /// Returns true and points *out at node v's memoized pruned front,
+  /// valid until the next call on this visitor.  On a miss *out is left
+  /// unspecified.
+  virtual bool lookup(NodeId v, TripleView* out) = 0;
+  /// Offers node v's computed pruned front for memoization; \p front is
+  /// valid only for the duration of the call.
+  virtual void store(NodeId v, const TripleView& front) = 0;
 };
 
 /// Options for the bottom-up sweep, mostly exercised by ablation benches.
@@ -98,10 +68,10 @@ struct BottomUpOptions {
   /// ablation flags above imply it (their code paths live only in the
   /// pointer sweep).
   bool pointer_path = false;
-  /// Per-node memo consulted/populated by the sweep; ignored when the
-  /// unsound ignore_activation ablation is active (its fronts must never
-  /// leak into a cache).  The visitor must have been bound to the same
-  /// (tree, decorations, budget) this sweep runs with.
+  /// Per-node memo consulted/populated by the arena sweep only: the
+  /// pointer sweep (and so every ablation, including the unsound
+  /// ignore_activation one) never reads it.  The visitor must have been
+  /// bound to the same (tree, decorations, budget) this sweep runs with.
   SubtreeVisitor* visitor = nullptr;
 };
 
@@ -121,9 +91,10 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
 /// The arena/SoA hot path behind bottom_up_root_front() (the default
 /// unless an option forces the pointer sweep): flattens the tree into a
 /// post-order arena and runs a non-recursive stack machine over SoA
-/// fronts.  Same preconditions, same result, byte for byte — including
-/// the SubtreeVisitor call protocol (pre-order lookup, post-order store,
-/// memo-hit subtrees never descended into).  bottom_up_arena.cpp.
+/// fronts.  Same preconditions, same result, byte for byte.  It is the
+/// only sweep that speaks the SubtreeVisitor protocol (pre-order lookup,
+/// post-order store, memo-hit subtrees never descended into).
+/// bottom_up_arena.cpp.
 std::vector<AttrTriple> bottom_up_root_front_arena(
     const AttackTree& tree, const std::vector<double>& cost,
     const std::vector<double>& damage, const std::vector<double>& prob,

@@ -30,30 +30,31 @@ const char* to_string(Engine e) {
 }
 
 Front2d cdpf(const CdAt& m, Engine e) {
-  return route(e, engine::Problem::Cdpf, engine::traits_of(m)).cdpf(m);
+  return route(e, engine::Problem::Cdpf, engine::traits_of(m)).cdpf(m, {});
 }
 
 OptAttack dgc(const CdAt& m, double budget, Engine e) {
-  return route(e, engine::Problem::Dgc, engine::traits_of(m)).dgc(m, budget);
+  return route(e, engine::Problem::Dgc, engine::traits_of(m))
+      .dgc(m, budget, {});
 }
 
 OptAttack cgd(const CdAt& m, double threshold, Engine e) {
   return route(e, engine::Problem::Cgd, engine::traits_of(m))
-      .cgd(m, threshold);
+      .cgd(m, threshold, {});
 }
 
 Front2d cedpf(const CdpAt& m, Engine e) {
-  return route(e, engine::Problem::Cedpf, engine::traits_of(m)).cedpf(m);
+  return route(e, engine::Problem::Cedpf, engine::traits_of(m)).cedpf(m, {});
 }
 
 OptAttack edgc(const CdpAt& m, double budget, Engine e) {
   return route(e, engine::Problem::Edgc, engine::traits_of(m))
-      .edgc(m, budget);
+      .edgc(m, budget, {});
 }
 
 OptAttack cged(const CdpAt& m, double threshold, Engine e) {
   return route(e, engine::Problem::Cged, engine::traits_of(m))
-      .cged(m, threshold);
+      .cged(m, threshold, {});
 }
 
 }  // namespace atcd

@@ -70,44 +70,21 @@ void Backend::reject(Problem p, const Traits& t) const {
 }
 
 Front2d Backend::cdpf(const CdAt& m, const SolveContext&) const {
-  return cdpf(m);
-}
-OptAttack Backend::dgc(const CdAt& m, double budget,
-                       const SolveContext&) const {
-  return dgc(m, budget);
-}
-OptAttack Backend::cgd(const CdAt& m, double threshold,
-                       const SolveContext&) const {
-  return cgd(m, threshold);
-}
-Front2d Backend::cedpf(const CdpAt& m, const SolveContext&) const {
-  return cedpf(m);
-}
-OptAttack Backend::edgc(const CdpAt& m, double budget,
-                        const SolveContext&) const {
-  return edgc(m, budget);
-}
-OptAttack Backend::cged(const CdpAt& m, double threshold,
-                        const SolveContext&) const {
-  return cged(m, threshold);
-}
-
-Front2d Backend::cdpf(const CdAt& m) const {
   reject(Problem::Cdpf, traits_of(m));
 }
-OptAttack Backend::dgc(const CdAt& m, double) const {
+OptAttack Backend::dgc(const CdAt& m, double, const SolveContext&) const {
   reject(Problem::Dgc, traits_of(m));
 }
-OptAttack Backend::cgd(const CdAt& m, double) const {
+OptAttack Backend::cgd(const CdAt& m, double, const SolveContext&) const {
   reject(Problem::Cgd, traits_of(m));
 }
-Front2d Backend::cedpf(const CdpAt& m) const {
+Front2d Backend::cedpf(const CdpAt& m, const SolveContext&) const {
   reject(Problem::Cedpf, traits_of(m));
 }
-OptAttack Backend::edgc(const CdpAt& m, double) const {
+OptAttack Backend::edgc(const CdpAt& m, double, const SolveContext&) const {
   reject(Problem::Edgc, traits_of(m));
 }
-OptAttack Backend::cged(const CdpAt& m, double) const {
+OptAttack Backend::cged(const CdpAt& m, double, const SolveContext&) const {
   reject(Problem::Cged, traits_of(m));
 }
 

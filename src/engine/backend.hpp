@@ -93,9 +93,8 @@ class SubtreeMemo {
       const CdpAt& m, double budget) = 0;
 };
 
-/// Per-solve context passed alongside an instance.  Default-constructed
-/// means "no extras" — the context entry points then behave exactly like
-/// the plain ones.
+/// Per-solve context passed alongside an instance.  Callers with no
+/// extras pass a default-constructed one (`{}`).
 struct SolveContext {
   SubtreeMemo* subtree = nullptr;  ///< per-subtree memo; null = none
 };
@@ -111,17 +110,8 @@ class Backend {
   virtual Capabilities capabilities() const = 0;
 
   /// The six problem entry points.  Defaults throw UnsupportedError.
-  virtual Front2d cdpf(const CdAt& m) const;
-  virtual OptAttack dgc(const CdAt& m, double budget) const;
-  virtual OptAttack cgd(const CdAt& m, double threshold) const;
-  virtual Front2d cedpf(const CdpAt& m) const;
-  virtual OptAttack edgc(const CdpAt& m, double budget) const;
-  virtual OptAttack cged(const CdpAt& m, double threshold) const;
-
-  /// Context-taking entry points.  Backends advertising `incremental`
-  /// override these to consult ctx.subtree; the defaults ignore the
-  /// context and delegate to the plain entry points, so callers can pass
-  /// a context unconditionally.
+  /// Backends advertising `incremental` consult ctx.subtree; the others
+  /// ignore the context.
   virtual Front2d cdpf(const CdAt& m, const SolveContext& ctx) const;
   virtual OptAttack dgc(const CdAt& m, double budget,
                         const SolveContext& ctx) const;

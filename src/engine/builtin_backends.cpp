@@ -46,22 +46,31 @@ class EnumerativeBackend final : public Backend {
     c.max_bas = kEnumDefaultCap;
     return c;
   }
-  Front2d cdpf(const CdAt& m) const override { return cdpf_enumerative(m); }
-  OptAttack dgc(const CdAt& m, double u) const override {
+  Front2d cdpf(const CdAt& m, const SolveContext&) const override {
+    return cdpf_enumerative(m);
+  }
+  OptAttack dgc(const CdAt& m, double u, const SolveContext&) const override {
     return dgc_enumerative(m, u);
   }
-  OptAttack cgd(const CdAt& m, double l) const override {
+  OptAttack cgd(const CdAt& m, double l, const SolveContext&) const override {
     return cgd_enumerative(m, l);
   }
-  Front2d cedpf(const CdpAt& m) const override { return cedpf_enumerative(m); }
-  OptAttack edgc(const CdpAt& m, double u) const override {
+  Front2d cedpf(const CdpAt& m, const SolveContext&) const override {
+    return cedpf_enumerative(m);
+  }
+  OptAttack edgc(const CdpAt& m, double u,
+                 const SolveContext&) const override {
     return edgc_enumerative(m, u);
   }
-  OptAttack cged(const CdpAt& m, double l) const override {
+  OptAttack cged(const CdpAt& m, double l,
+                 const SolveContext&) const override {
     return cged_enumerative(m, l);
   }
 };
 
+/// Binds the memo to the exact budget-class each sweep prunes with —
+/// kNoBudget for the front problems and CgD/CgED (which run the
+/// budgetless CDPF/CEDPF sweep), the budget for DgC/EDgC.
 class BottomUpBackend final : public Backend {
  public:
   const char* name() const override { return "bottom-up"; }
@@ -73,24 +82,6 @@ class BottomUpBackend final : public Backend {
     c.incremental = true;  // compositional sweep; subtree-memo aware
     return c;
   }
-  Front2d cdpf(const CdAt& m) const override { return cdpf_bottom_up(m); }
-  OptAttack dgc(const CdAt& m, double u) const override {
-    return dgc_bottom_up(m, u);
-  }
-  OptAttack cgd(const CdAt& m, double l) const override {
-    return cgd_bottom_up(m, l);
-  }
-  Front2d cedpf(const CdpAt& m) const override { return cedpf_bottom_up(m); }
-  OptAttack edgc(const CdpAt& m, double u) const override {
-    return edgc_bottom_up(m, u);
-  }
-  OptAttack cged(const CdpAt& m, double l) const override {
-    return cged_bottom_up(m, l);
-  }
-
-  // Context entry points: bind the memo to the exact budget-class each
-  // sweep prunes with — kNoBudget for the front problems and CgD/CgED
-  // (which run the budgetless CDPF/CEDPF sweep), the budget for DgC/EDgC.
   Front2d cdpf(const CdAt& m, const SolveContext& ctx) const override {
     const auto vis = bind(ctx, m, kNoBudget);
     return cdpf_bottom_up(m, vis.get());
@@ -138,11 +129,13 @@ class BilpBackend final : public Backend {
     c.fronts = true;
     return c;
   }
-  Front2d cdpf(const CdAt& m) const override { return cdpf_bilp(m); }
-  OptAttack dgc(const CdAt& m, double u) const override {
+  Front2d cdpf(const CdAt& m, const SolveContext&) const override {
+    return cdpf_bilp(m);
+  }
+  OptAttack dgc(const CdAt& m, double u, const SolveContext&) const override {
     return dgc_bilp(m, u);
   }
-  OptAttack cgd(const CdAt& m, double l) const override {
+  OptAttack cgd(const CdAt& m, double l, const SolveContext&) const override {
     return cgd_bilp(m, l);
   }
 };
@@ -158,11 +151,15 @@ class BddBackend final : public Backend {
     c.max_bas = 22;  // attack enumeration with exact BDD damages
     return c;
   }
-  Front2d cedpf(const CdpAt& m) const override { return cedpf_bdd(m); }
-  OptAttack edgc(const CdpAt& m, double u) const override {
+  Front2d cedpf(const CdpAt& m, const SolveContext&) const override {
+    return cedpf_bdd(m);
+  }
+  OptAttack edgc(const CdpAt& m, double u,
+                 const SolveContext&) const override {
     return edgc_bdd(m, u);
   }
-  OptAttack cged(const CdpAt& m, double l) const override {
+  OptAttack cged(const CdpAt& m, double l,
+                 const SolveContext&) const override {
     return cged_bdd(m, l);
   }
 };
@@ -180,16 +177,18 @@ class Nsga2Backend final : public Backend {
     c.fronts = true;
     return c;
   }
-  Front2d cdpf(const CdAt& m) const override { return ga::nsga2_cdpf(m); }
-  OptAttack dgc(const CdAt& m, double u) const override {
-    const Front2d f = cdpf(m);
-    return from_front(f.max_damage_within_cost(u));
+  Front2d cdpf(const CdAt& m, const SolveContext&) const override {
+    return ga::nsga2_cdpf(m);
   }
-  OptAttack cgd(const CdAt& m, double l) const override {
-    const Front2d f = cdpf(m);
-    return from_front(f.min_cost_with_damage(l));
+  OptAttack dgc(const CdAt& m, double u,
+                const SolveContext& ctx) const override {
+    return from_front(cdpf(m, ctx).max_damage_within_cost(u));
   }
-  Front2d cedpf(const CdpAt& m) const override {
+  OptAttack cgd(const CdAt& m, double l,
+                const SolveContext& ctx) const override {
+    return from_front(cdpf(m, ctx).min_cost_with_damage(l));
+  }
+  Front2d cedpf(const CdpAt& m, const SolveContext&) const override {
     if (m.tree.is_treelike()) return ga::nsga2_cedpf(m);
     const AtBdd bdd(m.tree);
     return ga::nsga2_front(
@@ -199,13 +198,13 @@ class Nsga2Backend final : public Backend {
         },
         ga::Nsga2Options{});
   }
-  OptAttack edgc(const CdpAt& m, double u) const override {
-    const Front2d f = cedpf(m);
-    return from_front(f.max_damage_within_cost(u));
+  OptAttack edgc(const CdpAt& m, double u,
+                 const SolveContext& ctx) const override {
+    return from_front(cedpf(m, ctx).max_damage_within_cost(u));
   }
-  OptAttack cged(const CdpAt& m, double l) const override {
-    const Front2d f = cedpf(m);
-    return from_front(f.min_cost_with_damage(l));
+  OptAttack cged(const CdpAt& m, double l,
+                 const SolveContext& ctx) const override {
+    return from_front(cedpf(m, ctx).min_cost_with_damage(l));
   }
 };
 
@@ -224,12 +223,12 @@ class KnapsackBackend final : public Backend {
     c.additive_only = true;
     return c;
   }
-  OptAttack dgc(const CdAt& m, double u) const override {
+  OptAttack dgc(const CdAt& m, double u, const SolveContext&) const override {
     KnapsackInstance inst = to_instance(m, Problem::Dgc);
     inst.capacity = u;
     return solve_knapsack(inst);
   }
-  OptAttack cgd(const CdAt& m, double l) const override {
+  OptAttack cgd(const CdAt& m, double l, const SolveContext&) const override {
     return solve_knapsack_cover(to_instance(m, Problem::Cgd), l);
   }
 

@@ -149,32 +149,6 @@ void prune_select(const TripleView& v, double budget, PruneScratch* scratch) {
   idx.resize(kept);
 }
 
-void prune_soa(TripleBuf* io, double budget, PruneScratch* scratch) {
-  prune_select(io->view(), budget, scratch);
-  const auto& idx = scratch->idx;
-  const std::size_t kept = idx.size();
-
-  // Gather the kept rows.
-  const std::uint32_t wpa = io->wpa();
-  auto& tmp = scratch->tmp;
-  tmp.set_wpa(wpa);
-  tmp.cost.resize(kept);
-  tmp.damage.resize(kept);
-  tmp.act.resize(kept);
-  tmp.wit.resize(kept * wpa);
-  const std::uint64_t* wit = io->wit.data();
-  for (std::size_t r = 0; r < kept; ++r) {
-    const std::uint32_t i = idx[r];
-    tmp.cost[r] = io->cost[i];
-    tmp.damage[r] = io->damage[i];
-    tmp.act[r] = io->act[i];
-    if (wpa)
-      std::memcpy(tmp.wit.data() + r * wpa, wit + std::size_t{i} * wpa,
-                  std::size_t{wpa} * sizeof(std::uint64_t));
-  }
-  std::swap(*io, tmp);
-}
-
 TripleView TripleFrontStack::from_top(std::size_t k) const {
   const std::size_t f = frame_off_.size() - 1 - k;
   const std::size_t b = frame_off_[f];
@@ -208,25 +182,6 @@ void TripleFrontStack::push_select(const TripleView& v,
     act_.push_back(v.act[i]);
     wit_.insert(wit_.end(), v.wit + std::size_t{i} * wpa_,
                 v.wit + (std::size_t{i} + 1) * wpa_);
-  }
-}
-
-void TripleFrontStack::push_aos(const std::vector<AttrTriple>& xs,
-                                std::size_t nbits) {
-  (void)nbits;
-  frame_off_.push_back(cost_.size());
-  cost_.reserve(cost_.size() + xs.size());
-  damage_.reserve(damage_.size() + xs.size());
-  act_.reserve(act_.size() + xs.size());
-  wit_.reserve(wit_.size() + xs.size() * wpa_);
-  for (const AttrTriple& x : xs) {
-    cost_.push_back(x.t.cost);
-    damage_.push_back(x.t.damage);
-    act_.push_back(x.t.act);
-    const std::size_t nw = x.witness.word_count();
-    for (std::size_t k = 0; k < nw && k < wpa_; ++k)
-      wit_.push_back(x.witness.word(k));
-    for (std::size_t k = nw; k < wpa_; ++k) wit_.push_back(0);
   }
 }
 
@@ -286,27 +241,6 @@ std::vector<AttrTriple> TripleFrontStack::top_to_aos(std::size_t nbits) const {
     xs.push_back(std::move(x));
   }
   return xs;
-}
-
-void TripleFrontStack::top_to_aos_into(std::size_t nbits,
-                                       std::vector<AttrTriple>* out) const {
-  view_to_aos_into(from_top(0), nbits, out);
-}
-
-void view_to_aos_into(const TripleView& v, std::size_t nbits,
-                      std::vector<AttrTriple>* out) {
-  const std::size_t wpa = words_per_attack(nbits);
-  if (out->size() > v.n) out->resize(v.n);
-  out->reserve(v.n);
-  for (std::size_t r = 0; r < v.n; ++r) {
-    if (r == out->size()) out->emplace_back();
-    AttrTriple& x = (*out)[r];
-    x.t = {v.cost[r], v.damage[r], v.act[r]};
-    if (x.witness.size() != nbits) x.witness = DynBitset(nbits);
-    const std::uint64_t* w = v.wit + r * wpa;
-    for (std::size_t k = 0; k < x.witness.word_count(); ++k)
-      x.witness.set_word(k, w[k]);
-  }
 }
 
 void TripleFrontStack::clear() {
@@ -441,40 +375,6 @@ std::optional<FrontSoaStore> FrontSoaStore::from_bytes(
     if (m.wit_off + std::uint64_t{m.count} * wpa > s.wit_.size()) return {};
   }
   return s;
-}
-
-Front2d merge_fronts(const Front2d& a, const Front2d& b) {
-  // Both inputs are in (cost asc, strictly damage asc) front order, which
-  // is also (cost asc, damage desc) candidate order because a minimal
-  // front holds at most one point per cost.  A stable two-pointer merge
-  // (ties take from `a`) therefore feeds the sweep directly — no sort.
-  std::vector<FrontPoint> merged;
-  merged.reserve(a.size() + b.size());
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const bool b_first =
-        b[j].value.cost < a[i].value.cost ||
-        (b[j].value.cost == a[i].value.cost &&
-         b[j].value.damage > a[i].value.damage);
-    merged.push_back(b_first ? b[j++] : a[i++]);
-  }
-  for (; i < a.size(); ++i) merged.push_back(a[i]);
-  for (; j < b.size(); ++j) merged.push_back(b[j]);
-  return Front2d::of_candidates(std::move(merged), assume_sorted);
-}
-
-Front2d minkowski_fronts(const Front2d& a, const Front2d& b) {
-  std::vector<FrontPoint> sums;
-  sums.reserve(a.size() * b.size());
-  for (const auto& p : a)
-    for (const auto& q : b) {
-      FrontPoint s;
-      s.value = {p.value.cost + q.value.cost,
-                 p.value.damage + q.value.damage};
-      s.witness = p.witness | q.witness;
-      sums.push_back(std::move(s));
-    }
-  return Front2d::of_candidates(std::move(sums));
 }
 
 }  // namespace atcd

@@ -18,20 +18,22 @@
 ///   * combine_soa     — cross product with witnesses OR-ed word-wise
 ///                       into pre-sized flat storage; zero allocations
 ///                       in steady state.
-///   * prune_soa       — budget filter + index stable-sort (moving u32
+///   * prune_select    — budget filter + index stable-sort (moving u32
 ///                       indices, not triples) + a flat vector staircase,
-///                       then one gather pass.  Exactly prune_min()'s
-///                       semantics, point for point.
+///                       yielding the surviving rows.  Exactly
+///                       prune_min()'s semantics, point for point.
 ///   * TripleFrontStack— per-node front storage for the arena sweep:
 ///                       shared columns with per-frame spans under stack
 ///                       discipline, so live memory tracks the DFS
 ///                       fringe (≈ depth), not the node count.
 ///
+/// TripleView is also the currency of the sweep's memo protocol
+/// (core/bottom_up_core.hpp's SubtreeVisitor).
+///
 /// For 2-D (cost, damage) fronts, FrontSoaStore packs many fronts into
 /// shared columns with per-front spans and a versioned, trivially
-/// memcpy-able byte layout — the designated serialization substrate for
-/// cache snapshots (ROADMAP item 2).  merge_fronts / minkowski_fronts
-/// are the matching sorted-input kernels.
+/// memcpy-able byte layout — how the result-cache section of a snapshot
+/// (persist/snapshot.hpp) stores its fronts.
 
 #include <cstdint>
 #include <optional>
@@ -98,9 +100,9 @@ class TripleBuf {
     return {cost.data(), damage.data(), act.data(), wit.data(), cost.size()};
   }
 
-  /// Conversions at the SubtreeVisitor boundary (memo entries stay AoS,
-  /// so caches and sessions remain bit-compatible).  \p nbits is the
-  /// witness bit width (the host model's BAS count).
+  /// Conversions to and from AoS triples, the bridge to the prune_min()
+  /// reference.  \p nbits is the witness bit width (the host model's BAS
+  /// count).
   static TripleBuf from_aos(const std::vector<AttrTriple>& xs,
                             std::size_t nbits);
   std::vector<AttrTriple> to_aos(std::size_t nbits) const;
@@ -123,32 +125,22 @@ class TripleBuf {
 void combine_soa(const TripleView& a, const TripleView& b, NodeType gate,
                  TripleBuf* out, double budget = kNoBudget);
 
-/// Reusable scratch for prune_soa (index arrays, staircase, gather
-/// target); hoisted out so a whole sweep allocates only while warming.
+/// Reusable scratch for prune_select (index array, staircase) and the
+/// compact_top bounce buffer; hoisted out so a whole sweep allocates only
+/// while warming.
 struct PruneScratch {
   std::vector<std::uint32_t> idx;
   std::vector<std::pair<double, double>> stair;  // (damage, act), damage asc
   TripleBuf tmp;
 };
 
-/// min_U over SoA storage: drops rows with cost > budget, keeps exactly
-/// the ⊑-minimal remainder value-deduplicated (first witness wins), in
-/// (cost asc, damage desc, act desc) order — point-for-point identical
-/// to prune_min() on the same sequence.  In-place on \p io.
-void prune_soa(TripleBuf* io, double budget, PruneScratch* scratch);
-
-/// The selection half of prune_soa: fills scratch->idx with the surviving
-/// row indices of \p v, in the final output order, without touching the
-/// rows themselves.  Callers that gather straight into their destination
-/// (TripleFrontStack::push_select / compact_top) skip prune_soa's bounce
-/// copy entirely.
+/// min_U over SoA storage, as a selection: fills scratch->idx with the
+/// indices of the rows of \p v that survive — cost <= budget, ⊑-minimal,
+/// value-deduplicated (first witness wins) — in (cost asc, damage desc,
+/// act desc) order, without touching the rows themselves.  Gathering
+/// those rows (TripleFrontStack::push_select / compact_top) yields
+/// exactly prune_min() on the same sequence, point for point.
 void prune_select(const TripleView& v, double budget, PruneScratch* scratch);
-
-/// SoA view -> AoS triples into a caller-owned vector, reusing its
-/// elements and witness storage (alloc-free in steady state).  \p v's
-/// witness stride is ceil(nbits / 64) words per row.
-void view_to_aos_into(const TripleView& v, std::size_t nbits,
-                      std::vector<AttrTriple>* out);
 
 /// Stack-disciplined pool of triple fronts in shared SoA columns.  The
 /// arena sweep pushes one frame per completed subtree and pops the top k
@@ -172,14 +164,9 @@ class TripleFrontStack {
   void push_select(const TripleView& v,
                    const std::vector<std::uint32_t>& rows);
 
-  /// Appends a new top frame straight from AoS triples — the memo-hit
-  /// path, with no TripleBuf bounce.  \p nbits is the witness bit width;
-  /// short witnesses are zero-padded to wpa() words.
-  void push_aos(const std::vector<AttrTriple>& xs, std::size_t nbits);
-
   /// Appends a new top frame from an SoA view whose witness stride
-  /// already equals wpa() — four contiguous column copies, the fastest
-  /// memo-hit path.  \p v must not alias this stack's storage.
+  /// already equals wpa() — four contiguous column copies, the memo-hit
+  /// path.  \p v must not alias this stack's storage.
   void push_view(const TripleView& v);
 
   /// Replaces the top frame by its own rows[i] (frame-relative indices,
@@ -193,13 +180,8 @@ class TripleFrontStack {
   /// Drops the top \p k frames (their rows are reclaimed).
   void pop(std::size_t k);
 
-  /// AoS copy of the top frame — what SubtreeVisitor::store receives.
+  /// AoS copy of the top frame — the sweep's root front.
   std::vector<AttrTriple> top_to_aos(std::size_t nbits) const;
-
-  /// top_to_aos into a caller-owned vector, reusing its triples and
-  /// witness storage — alloc-free in steady state (same output, element
-  /// for element).
-  void top_to_aos_into(std::size_t nbits, std::vector<AttrTriple>* out) const;
 
   void clear();
 
@@ -218,15 +200,15 @@ class TripleFrontStack {
 };
 
 // ---------------------------------------------------------------------------
-// 2-D packed fronts: the snapshot substrate.
+// 2-D packed fronts: the result-cache snapshot store.
 // ---------------------------------------------------------------------------
 
 /// Many (cost, damage) Pareto fronts packed into shared columns with
 /// per-front spans, each point carrying its witness in a flat word
 /// array.  The in-memory layout is plain contiguous arrays, and
 /// to_bytes()/from_bytes() is a straight memcpy of those arrays behind a
-/// small versioned header — the serialization substrate for result- and
-/// subtree-cache snapshots (ROADMAP item 2).
+/// small versioned header — the fronts of a snapshot's result-cache
+/// section.
 class FrontSoaStore {
  public:
   /// Appends a front; returns its index.
@@ -260,17 +242,5 @@ class FrontSoaStore {
   std::vector<std::uint64_t> wit_;     // packed witness words
   std::vector<Meta> meta_;
 };
-
-/// Union of two fronts, minimized: one linear merge pass over the two
-/// sorted inputs (no re-sort — both are in (cost asc, damage asc) front
-/// order, which is also (cost asc, damage desc) candidate order since
-/// fronts hold at most one point per cost).  First witness wins on
-/// value-equal points, `a` before `b`.
-Front2d merge_fronts(const Front2d& a, const Front2d& b);
-
-/// Minkowski sum of two fronts, minimized: all pairwise (cost + cost,
-/// damage + damage) points with witnesses unioned — the 2-D AND-gate
-/// composition of independent sub-AT fronts.
-Front2d minkowski_fronts(const Front2d& a, const Front2d& b);
 
 }  // namespace atcd

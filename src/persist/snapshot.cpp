@@ -138,6 +138,9 @@ class Reader {
   DynBitset bitset() {
     const std::uint64_t nbits = u64();
     if (nbits > (std::uint64_t{1} << 32)) corrupt("witness width overflow");
+    // Check the words are there before allocating them: the width alone
+    // may claim up to 512 MB.
+    need((nbits + 63) / 64 * 8);
     DynBitset w(static_cast<std::size_t>(nbits));
     for (std::size_t i = 0; i < w.word_count(); ++i) w.set_word(i, u64());
     // Padding bits above nbits must be zero (DynBitset invariant —
@@ -235,6 +238,16 @@ std::vector<StagedResult> decode_result_section(const std::string& payload) {
     s.result.attack.cost = r.f64();
     s.result.attack.damage = r.f64();
     s.result.attack.witness = r.bitset();
+    // Witnesses index the model's BASs; a hit on a renamed resubmission
+    // remaps them through a table of exactly that size.
+    const std::size_t n_bas =
+        s.prob ? s.prob->tree.bas_count() : s.det->tree.bas_count();
+    if (!s.result.attack.witness.fits_in(n_bas) ||
+        !std::all_of(s.result.front.begin(), s.result.front.end(),
+                     [&](const FrontPoint& p) {
+                       return p.witness.fits_in(n_bas);
+                     }))
+      corrupt("witness indexes a BAS the model does not have");
     staged.push_back(std::move(s));
   }
   if (!r.done()) corrupt("trailing bytes after last entry");
@@ -297,6 +310,8 @@ std::vector<StagedSubtree> decode_subtree_section(const std::string& payload) {
       t.witness = r.bitset();
       s.front.push_back(std::move(t));
     }
+    if (!service::witnesses_fit_signature(s.sig, s.front))
+      corrupt("witness indexes a leaf the subtree signature does not have");
     staged.push_back(std::move(s));
   }
   if (!r.done()) corrupt("trailing bytes after last entry");

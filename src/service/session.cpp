@@ -28,50 +28,30 @@ double effective_cost(double base, bool defended,
 class Session::NodeMemoVisitor final : public atcd::detail::SubtreeVisitor {
  public:
   explicit NodeMemoVisitor(Session& s)
-      : s_(s), nbits_(s.tree().bas_count()) {}
+      : s_(s),
+        wpa_(static_cast<std::uint32_t>((s.tree().bas_count() + 63) / 64)) {}
 
-  // AoS protocol (pointer sweep): converts at the memo boundary.  Same
-  // hit/miss decisions, values, and stats as the SoA fast paths below.
-  bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
+  // The memo is SoA, so a hit hands out a view of the stored columns and
+  // a store is four column copies — no per-triple witness allocations.
+  bool lookup(NodeId v, TripleView* out) override {
     if (!s_.memo_valid_[v]) {
       ++s_.memo_stats_.misses;
       return false;
     }
     ++s_.memo_stats_.hits;
-    view_to_aos_into(s_.memo_soa_[v].view(), nbits_, out);
+    *out = s_.memo_soa_[v].view();
     return true;
   }
 
-  void store(NodeId v, const std::vector<AttrTriple>& front) override {
-    s_.memo_soa_[v] = TripleBuf::from_aos(front, nbits_);
-    s_.memo_valid_[v] = 1;
-    ++s_.memo_stats_.stores;
-  }
-
-  // SoA fast paths (arena sweep): the memo IS SoA, so a hit hands out a
-  // view of the stored columns and a store is four column copies —
-  // no per-triple witness allocations, no pointer chasing.
-
-  ViewResult lookup_view(NodeId v, TripleView* out) override {
-    if (!s_.memo_valid_[v]) {
-      ++s_.memo_stats_.misses;
-      return ViewResult::kMiss;
-    }
-    ++s_.memo_stats_.hits;
-    *out = s_.memo_soa_[v].view();
-    return ViewResult::kHit;
-  }
-
-  void store_soa(NodeId v, const TripleView& f, std::size_t /*nbits*/,
-                 std::vector<AttrTriple>* /*scratch*/) override {
+  void store(NodeId v, const TripleView& f) override {
     TripleBuf& b = s_.memo_soa_[v];
-    b.set_wpa(static_cast<std::uint32_t>((nbits_ + 63) / 64));
+    b.set_wpa(wpa_);
     b.clear();
     if (f.n > 0) {
       b.cost.assign(f.cost, f.cost + f.n);
       b.damage.assign(f.damage, f.damage + f.n);
       b.act.assign(f.act, f.act + f.n);
-      b.wit.assign(f.wit, f.wit + f.n * b.wpa());
+      b.wit.assign(f.wit, f.wit + f.n * wpa_);
     }
     s_.memo_valid_[v] = 1;
     ++s_.memo_stats_.stores;
@@ -79,7 +59,7 @@ class Session::NodeMemoVisitor final : public atcd::detail::SubtreeVisitor {
 
  private:
   Session& s_;
-  std::size_t nbits_;
+  std::uint32_t wpa_;
 };
 
 /// engine::SubtreeMemo facade over the private memo, chainable with the
@@ -598,7 +578,7 @@ void Session::populate_shared_portions() {
       if (!vis) continue;
       // A cached root front (e.g. another session populated it) means
       // the whole portion is covered — skip the sweep.
-      std::vector<AttrTriple> cached;
+      TripleView cached;
       if (!vis->lookup(map[v], &cached)) {
         atcd::detail::BottomUpOptions bopt;
         bopt.budget = memo_budget();

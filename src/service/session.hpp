@@ -22,6 +22,11 @@
 ///    structural edit, unchanged subtrees can be *re*-covered from it by
 ///    canonical hash even though their NodeIds moved.
 ///
+/// Both layers implement the arena sweep's memo protocol
+/// (detail::SubtreeVisitor: one lookup and one store over SoA views).
+/// ChainedSubtreeMemo puts the shared cache under the private memo and
+/// promotes the shared cache's hits into it.
+///
 /// Edits mutate *base* decorations; `toggle-defense` layers the
 /// defense-module hardening semantics on top (a defended BAS gets its
 /// cost scaled and, in probabilistic models, its success probability
@@ -193,12 +198,11 @@ class Session {
   std::vector<bool> defended_;
 
   // Private per-node memo; indexed by NodeId of the current tree.
-  // Fronts are kept in SoA form (per-node TripleBuf columns): the arena
-  // sweep's memo hits and stores are then contiguous column copies
-  // instead of per-triple heap walks — on a single-leaf-edit re-solve
-  // the memo boundary IS the hot path, every clean sibling of the dirty
-  // root-path enters through it.  The AoS lookup()/store() protocol
-  // converts at the boundary, so the pointer sweep sees identical bytes.
+  // Fronts are kept in SoA form (per-node TripleBuf columns), the form
+  // the sweep's memo protocol exchanges: hits and stores are contiguous
+  // column copies instead of per-triple heap walks — on a single-leaf-edit
+  // re-solve the memo boundary IS the hot path, every clean sibling of
+  // the dirty root-path enters through it.
   std::vector<char> memo_valid_;
   std::vector<TripleBuf> memo_soa_;
   std::vector<char> dirty_seen_;  ///< scratch for mark_dirty's walk

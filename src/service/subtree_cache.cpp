@@ -135,7 +135,8 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
         cost_(cost),
         damage_(damage),
         prob_(prob),
-        budget_(double_bits(budget) == double_bits(0.0) ? 0.0 : budget) {
+        budget_(double_bits(budget) == double_bits(0.0) ? 0.0 : budget),
+        hit_(static_cast<std::uint32_t>((tree.bas_count() + 63) / 64)) {
     const std::size_t n = tree.node_count();
     hash_.resize(n);
     count_.resize(n);
@@ -202,25 +203,29 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
     }
   }
 
-  bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
+  bool lookup(NodeId v, TripleView* out) override {
     if (count_[v] < cache_.config_.min_leaves) return false;
     const auto front =
         cache_.find(key_of(v), [&]() -> const std::string& { return sig(v); });
     if (!front) return false;
-    // Local -> host: local leaf position i is the host BAS leaf(v, i).
-    out->clear();
-    out->reserve(front->size());
+    // Local -> host, straight into the binding's SoA buffer: local leaf
+    // position i is the host BAS leaf(v, i).
+    hit_.clear();
+    hit_.reserve(front->size());
     for (const AttrTriple& t : *front) {
-      AttrTriple g;
-      g.t = t.t;
-      g.witness = Attack(tree_.bas_count());
-      for (std::size_t i : t.witness.ones()) g.witness.set(leaf(v, i));
-      out->push_back(std::move(g));
+      std::uint64_t* w = hit_.witness(hit_.push_zero(t.t.cost, t.t.damage,
+                                                     t.t.act));
+      for (std::size_t k = 0; k < t.witness.word_count(); ++k)
+        for (std::uint64_t bits = t.witness.word(k); bits; bits &= bits - 1) {
+          const std::uint32_t b = leaf(v, k * 64 + std::countr_zero(bits));
+          w[b >> 6] |= std::uint64_t{1} << (b & 63);
+        }
     }
+    *out = hit_.view();
     return true;
   }
 
-  void store(NodeId v, const std::vector<AttrTriple>& front) override {
+  void store(NodeId v, const TripleView& front) override {
     const std::size_t n_local = count_[v];
     if (n_local < cache_.config_.min_leaves) return;
     // Host -> local inverse map over this subtree's leaves only; a
@@ -229,16 +234,20 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
     constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
     std::vector<std::uint32_t> local_of(tree_.bas_count(), kAbsent);
     for (std::size_t i = 0; i < n_local; ++i) local_of[leaf(v, i)] = i;
+    const std::size_t wpa = hit_.wpa();
     std::vector<AttrTriple> local;
-    local.reserve(front.size());
-    for (const AttrTriple& t : front) {
+    local.reserve(front.n);
+    for (std::size_t r = 0; r < front.n; ++r) {
       AttrTriple l;
-      l.t = t.t;
+      l.t = {front.cost[r], front.damage[r], front.act[r]};
       l.witness = Attack(n_local);
-      for (std::size_t i : t.witness.ones()) {
-        if (local_of[i] == kAbsent) return;
-        l.witness.set(local_of[i]);
-      }
+      const std::uint64_t* w = front.wit + r * wpa;
+      for (std::size_t k = 0; k < wpa; ++k)
+        for (std::uint64_t bits = w[k]; bits; bits &= bits - 1) {
+          const std::uint32_t i = local_of[k * 64 + std::countr_zero(bits)];
+          if (i == kAbsent) return;
+          l.witness.set(i);
+        }
       local.push_back(std::move(l));
     }
     cache_.put(key_of(v), sig(v), std::move(local));
@@ -303,6 +312,7 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
   std::vector<std::uint32_t> canon_leaves_;  ///< flat canonical leaf order
   std::vector<std::vector<NodeId>> order_;   ///< children, canonical order
   std::vector<std::string> sig_;             ///< lazy; "" = not materialized
+  TripleBuf hit_;  ///< host-space copy of the last hit; lookup()'s view
 };
 
 // ---------------------------------------------------------------------------
@@ -456,6 +466,16 @@ void SubtreeCache::restore_entry(std::uint64_t hash, double budget,
   put(key, sig, std::move(front));
 }
 
+bool witnesses_fit_signature(const std::string& sig,
+                             const std::vector<AttrTriple>& front) {
+  // append_sig() writes one 'B' per leaf; hex digits are lowercase.
+  const auto leaves =
+      static_cast<std::size_t>(std::count(sig.begin(), sig.end(), 'B'));
+  return std::all_of(front.begin(), front.end(), [&](const AttrTriple& t) {
+    return t.witness.fits_in(leaves);
+  });
+}
+
 SubtreeCache::Stats SubtreeCache::stats() const {
   Stats s;
   s.hits = hits_->value();
@@ -492,7 +512,7 @@ class ChainVisitor final : public atcd::detail::SubtreeVisitor {
                std::unique_ptr<atcd::detail::SubtreeVisitor> b)
       : a_(std::move(a)), b_(std::move(b)) {}
 
-  bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
+  bool lookup(NodeId v, TripleView* out) override {
     if (a_->lookup(v, out)) return true;
     if (b_->lookup(v, out)) {
       a_->store(v, *out);  // promote so later resolves hit the fast layer
@@ -501,30 +521,9 @@ class ChainVisitor final : public atcd::detail::SubtreeVisitor {
     return false;
   }
 
-  void store(NodeId v, const std::vector<AttrTriple>& front) override {
+  void store(NodeId v, const TripleView& front) override {
     a_->store(v, front);
     b_->store(v, front);
-  }
-
-  // Fast paths forward so a zero-copy-capable primary (the session memo)
-  // keeps its advantage under a chained shared cache.  Behavior matches
-  // the lookup()/store() pair exactly, promotion included.
-
-  const std::vector<AttrTriple>* lookup_ref(
-      NodeId v, std::vector<AttrTriple>* scratch) override {
-    if (const auto* hit = a_->lookup_ref(v, scratch)) return hit;
-    if (b_->lookup(v, scratch)) {
-      a_->store(v, *scratch);
-      return scratch;
-    }
-    return nullptr;
-  }
-
-  void store_soa(NodeId v, const TripleView& f, std::size_t nbits,
-                 std::vector<AttrTriple>* scratch) override {
-    a_->store_soa(v, f, nbits, scratch);
-    view_to_aos_into(f, nbits, scratch);
-    b_->store(v, *scratch);
   }
 
  private:

@@ -221,6 +221,13 @@ class SubtreeCache final : public engine::SubtreeMemo {
   obs::Counter* collisions_ = nullptr;
 };
 
+/// True when every witness of \p front indexes only the leaves of the
+/// subtree that signature \p sig spells (one 'B' per leaf).  A lookup
+/// maps local leaf positions into the host's leaf range unchecked, so a
+/// snapshot loader runs this on each entry before restore_entry().
+bool witnesses_fit_signature(const std::string& sig,
+                             const std::vector<AttrTriple>& front);
+
 /// Chains two memo layers: lookups consult \p primary first, then
 /// \p fallback — promoting fallback hits into primary — and stores feed
 /// both.  Sessions use this to layer their private per-session memo over

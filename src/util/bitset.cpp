@@ -45,6 +45,15 @@ std::vector<std::size_t> DynBitset::ones() const {
   return out;
 }
 
+bool DynBitset::fits_in(std::size_t n) const {
+  for (std::size_t w = n / 64; w < words_.size(); ++w) {
+    const std::uint64_t above =
+        w == n / 64 ? words_[w] >> (n % 64) : words_[w];
+    if (above != 0) return false;
+  }
+  return true;
+}
+
 DynBitset DynBitset::from_mask(std::size_t nbits, std::uint64_t mask) {
   DynBitset b(nbits);
   if (!b.words_.empty()) b.words_[0] = mask;

@@ -85,6 +85,10 @@ class DynBitset {
   /// Indices of the set bits, ascending.
   std::vector<std::size_t> ones() const;
 
+  /// True when no bit at an index >= \p n is set: the bitset is a valid
+  /// attack on an index space of \p n elements.
+  bool fits_in(std::size_t n) const;
+
   /// Builds a bitset of \p nbits bits whose lowest 64 bits equal \p mask.
   /// Useful for enumerating all attacks of small models.
   static DynBitset from_mask(std::size_t nbits, std::uint64_t mask);

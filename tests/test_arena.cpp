@@ -211,7 +211,7 @@ TEST(FrontSoa, TripleBufRoundTripsAos) {
   }
 }
 
-TEST(FrontSoa, PruneSoaMatchesPruneMinPointForPoint) {
+TEST(FrontSoa, PruneSelectMatchesPruneMinPointForPoint) {
   const std::size_t n = iters();
   PruneScratch scratch;
   for (std::uint64_t seed = 0; seed < n; ++seed) {
@@ -225,9 +225,13 @@ TEST(FrontSoa, PruneSoaMatchesPruneMinPointForPoint) {
         xs[rng.below(xs.size())].t = xs[rng.below(xs.size())].t;
     for (const double budget : {kNoBudget, double(rng.below(14))}) {
       const std::vector<AttrTriple> ref = prune_min(xs, budget);
-      TripleBuf buf = TripleBuf::from_aos(xs, nbits);
-      prune_soa(&buf, budget, &scratch);
-      EXPECT_TRUE(triple_fronts_identical(buf.to_aos(nbits), ref))
+      // The sweep's pruning: select the surviving rows, then gather them
+      // onto the front stack.
+      const TripleBuf buf = TripleBuf::from_aos(xs, nbits);
+      prune_select(buf.view(), budget, &scratch);
+      TripleFrontStack s(buf.wpa());
+      s.push_select(buf.view(), scratch.idx);
+      EXPECT_TRUE(triple_fronts_identical(s.top_to_aos(nbits), ref))
           << "seed " << seed << " budget " << budget;
     }
   }
@@ -372,42 +376,6 @@ TEST(Front2d, AssumeSortedFastPathMatchesPlainOfCandidates) {
   }
 }
 
-TEST(FrontSoa, MergeAndMinkowskiMatchOfCandidates) {
-  Rng rng(0x50A8);
-  for (int round = 0; round < 30; ++round) {
-    const std::size_t nbits = 4 + rng.below(70);
-    const Front2d a = random_front(rng, rng.below(12), nbits);
-    const Front2d b = random_front(rng, rng.below(12), nbits);
-
-    std::vector<FrontPoint> uni(a.begin(), a.end());
-    uni.insert(uni.end(), b.begin(), b.end());
-    const Front2d merged_ref = Front2d::of_candidates(std::move(uni));
-    const Front2d merged = merge_fronts(a, b);
-    ASSERT_EQ(merged.size(), merged_ref.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i].value.cost, merged_ref[i].value.cost);
-      EXPECT_EQ(merged[i].value.damage, merged_ref[i].value.damage);
-    }
-
-    std::vector<FrontPoint> sums;
-    for (const FrontPoint& x : a)
-      for (const FrontPoint& y : b) {
-        FrontPoint p{CdPoint{x.value.cost + y.value.cost,
-                             x.value.damage + y.value.damage},
-                     x.witness};
-        p.witness |= y.witness;
-        sums.push_back(std::move(p));
-      }
-    const Front2d mink_ref = Front2d::of_candidates(std::move(sums));
-    const Front2d mink = minkowski_fronts(a, b);
-    ASSERT_EQ(mink.size(), mink_ref.size());
-    for (std::size_t i = 0; i < mink.size(); ++i) {
-      EXPECT_EQ(mink[i].value.cost, mink_ref[i].value.cost);
-      EXPECT_EQ(mink[i].value.damage, mink_ref[i].value.damage);
-    }
-  }
-}
-
 // -- The headline property: arena sweep == pointer sweep, byte for byte. ---
 
 TEST(Arena, SweepMatchesPointerPathByteForByte) {
@@ -458,32 +426,49 @@ TEST(Arena, SweepRejectsDagsLikeThePointerPath) {
   FAIL() << "no DAG generated";
 }
 
-/// Both paths must speak the SubtreeVisitor protocol identically: same
-/// lookup/store sequence (pre-order lookups, post-order stores, memo-hit
-/// subtrees never descended into) — otherwise session memos and the
-/// cross-model subtree cache would behave differently depending on which
-/// sweep populated them.
+/// Records the arena sweep's SubtreeVisitor calls over a NodeId-keyed
+/// SoA memo.
 class RecordingVisitor : public detail::SubtreeVisitor {
  public:
-  bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
+  explicit RecordingVisitor(std::size_t nbits)
+      : wpa_(static_cast<std::uint32_t>((nbits + 63) / 64)) {}
+
+  bool lookup(NodeId v, TripleView* out) override {
     const auto it = memo_.find(v);
     events.push_back({'L', v, it != memo_.end()});
     if (it == memo_.end()) return false;
-    *out = it->second;
+    *out = it->second.view();
     return true;
   }
-  void store(NodeId v, const std::vector<AttrTriple>& front) override {
+  void store(NodeId v, const TripleView& front) override {
     events.push_back({'S', v, false});
-    memo_[v] = front;
+    TripleBuf& b = memo_[v];
+    b.set_wpa(wpa_);
+    b.clear();
+    for (std::size_t r = 0; r < front.n; ++r)
+      std::copy_n(front.wit + r * wpa_, wpa_,
+                  b.witness(b.push_zero(front.cost[r], front.damage[r],
+                                        front.act[r])));
   }
 
   std::vector<std::tuple<char, NodeId, bool>> events;
 
  private:
-  std::map<NodeId, std::vector<AttrTriple>> memo_;
+  std::uint32_t wpa_;
+  std::map<NodeId, TripleBuf> memo_;
 };
 
-TEST(Arena, VisitorProtocolMatchesPointerPath) {
+/// The protocol a cold solve must follow, derived from the tree alone:
+/// each node is looked up (a miss) when entered, its children are
+/// visited left to right, and it is stored when it finishes.
+void expected_cold_events(const AttackTree& t, NodeId v,
+                          std::vector<std::tuple<char, NodeId, bool>>* out) {
+  out->push_back({'L', v, false});
+  for (const NodeId c : t.children(v)) expected_cold_events(t, c, out);
+  out->push_back({'S', v, false});
+}
+
+TEST(Arena, VisitorProtocolFollowsTreeOrder) {
   const std::size_t n = iters();
   for (std::uint64_t seed = 0; seed < n; ++seed) {
     Rng rng(0xA4E7ull * 1000 + seed);
@@ -492,29 +477,31 @@ TEST(Arena, VisitorProtocolMatchesPointerPath) {
     const double budget =
         seed % 2 ? rng.uniform(0.0, cost_sum(m.cost) * 1.1) : kNoBudget;
 
-    RecordingVisitor pv, av;
     detail::BottomUpOptions pointer_opt;
     pointer_opt.budget = budget;
     pointer_opt.pointer_path = true;
-    pointer_opt.visitor = &pv;
+    const auto ref = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
+                                                  ones, pointer_opt);
+
+    RecordingVisitor vis(m.tree.bas_count());
     detail::BottomUpOptions arena_opt;
     arena_opt.budget = budget;
-    arena_opt.visitor = &av;
+    arena_opt.visitor = &vis;
+    const auto cold = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
+                                                   ones, arena_opt);
+    EXPECT_TRUE(triple_fronts_identical(cold, ref)) << "seed " << seed;
+    std::vector<std::tuple<char, NodeId, bool>> want;
+    expected_cold_events(m.tree, m.tree.root(), &want);
+    EXPECT_EQ(vis.events, want) << "seed " << seed;
 
-    // Cold solve then warm re-solve on each path: the warm pass must hit
-    // the memo at the root (one lookup, no store) on both.
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto ref = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
-                                                    ones, pointer_opt);
-      const auto got = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
-                                                    ones, arena_opt);
-      EXPECT_TRUE(triple_fronts_identical(got, ref)) << "seed " << seed;
-    }
-    EXPECT_EQ(av.events, pv.events) << "seed " << seed;
-    const auto last = pv.events.back();
-    EXPECT_EQ(std::get<0>(last), 'L');
-    EXPECT_EQ(std::get<1>(last), m.tree.root());
-    EXPECT_TRUE(std::get<2>(last));  // warm pass: root memo hit
+    // A warm re-solve makes exactly one call: a root hit.
+    vis.events.clear();
+    const auto warm = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
+                                                   ones, arena_opt);
+    EXPECT_TRUE(triple_fronts_identical(warm, ref)) << "seed " << seed;
+    const std::vector<std::tuple<char, NodeId, bool>> root_hit{
+        {'L', m.tree.root(), true}};
+    EXPECT_EQ(vis.events, root_hit) << "seed " << seed;
   }
 }
 

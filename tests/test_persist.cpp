@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -297,6 +298,129 @@ TEST(Persist, TrailingBytesAreCorrupt) {
   SubtreeCache sc;
   EXPECT_EQ(persist::decode_snapshot(img, &rc, &sc), LoadStatus::Corrupt);
   EXPECT_EQ(rc.stats().entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile but CRC-valid images: the decoder checks what an entry claims
+// before it allocates or stages it.
+// ---------------------------------------------------------------------------
+
+/// Wraps \p payload as the only section of an otherwise valid image.
+std::string one_section_image(const char (&tag)[5],
+                              const std::string& payload) {
+  std::string img(persist::kMagic, sizeof persist::kMagic);
+  const auto put = [&](const auto& v) {
+    img.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(persist::kFormatVersion);
+  put(std::uint32_t{1});  // section count
+  img.append(tag, 4);
+  put(std::uint64_t{payload.size()});
+  put(persist::crc32(payload.data(), payload.size()));
+  return img + payload;
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(Persist, WitnessWidthIsCheckedBeforeAllocating) {
+  // One subtree entry with one point whose witness claims 2^32 bits but
+  // carries no words: 104 bytes that would cost 512 MB if the decoder
+  // allocated the witness before reading it.
+  std::string payload;
+  const auto put = [&](const auto& v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(std::uint64_t{1});          // entries
+  put(std::uint64_t{0});          // hash
+  put(0.0);                       // budget
+  put(std::uint64_t{0});          // signature length
+  put(std::uint64_t{1});          // points
+  put(1.0);                       // cost
+  put(2.0);                       // damage
+  put(1.0);                       // activation
+  put(std::uint64_t{1} << 32);    // witness width, no words follow
+  const std::string img = one_section_image("SC01", payload);
+  ASSERT_EQ(img.size(), 104u);
+
+  const long before = peak_rss_kb();
+  ResultCache rc;
+  SubtreeCache sc;
+  EXPECT_EQ(persist::decode_snapshot(img, &rc, &sc), LoadStatus::Corrupt);
+  EXPECT_LT(peak_rss_kb() - before, 64 * 1024) << "peak RSS rose (KB)";
+  EXPECT_EQ(sc.stats().entries, 0u);
+}
+
+TEST(Persist, ResultWitnessOutsideModelIsCorrupt) {
+  SolveService src(single_shard_options());
+  fill(src, 1);
+  const auto entries = src.cache().export_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  const auto& e = entries[0];
+  const std::size_t n_bas = e.det->tree.bas_count();
+  // Same front, but the first witness also names BAS index n_bas, which
+  // the model does not have.
+  engine::SolveResult bad = *e.result;
+  std::vector<FrontPoint> points(bad.front.begin(), bad.front.end());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    DynBitset w(64);
+    for (std::size_t b : points[i].witness.ones()) w.set(b);
+    if (i == 0) w.set(n_bas);
+    points[i].witness = w;
+  }
+  bad.front = Front2d::of_candidates(std::move(points));
+  ResultCache rc;
+  rc.insert(e.key, e.det, e.prob, bad);
+  const std::string img = persist::encode_snapshot(rc, SubtreeCache());
+
+  SolveService dst(single_shard_options());
+  std::string err;
+  const LoadStatus status = persist::decode_snapshot(
+      img, &dst.cache(), &dst.subtree_cache(), nullptr, &err);
+  EXPECT_EQ(status, LoadStatus::Corrupt) << err;
+  EXPECT_EQ(dst.cache().stats().entries, 0u);
+  if (status == LoadStatus::Ok) {
+    // What a loaded image would do next: a renamed resubmission is a
+    // canonical hit whose witnesses are remapped BAS by BAS.
+    (void)dst.handle(
+        service::Request::of_text(Problem::Cdpf, permuted_model_text(0)));
+  }
+}
+
+TEST(Persist, SubtreeWitnessOutsideSignatureIsCorrupt) {
+  SolveService src(single_shard_options());
+  fill(src, 1);
+  const auto entries = src.subtree_cache().export_entries();
+  ASSERT_FALSE(entries.empty());
+  // Every entry's first witness also names local leaf n_local, one past
+  // the subtree its signature spells.
+  SubtreeCache sc;
+  for (const auto& e : entries) {
+    std::vector<AttrTriple> front = *e.front;
+    ASSERT_FALSE(front.empty());
+    const std::size_t n_local = front[0].witness.size();
+    DynBitset w(n_local + 1);
+    for (std::size_t b : front[0].witness.ones()) w.set(b);
+    w.set(n_local);
+    front[0].witness = w;
+    sc.restore_entry(e.hash, e.budget, *e.sig, std::move(front));
+  }
+  const std::string img = persist::encode_snapshot(ResultCache(), sc);
+
+  SolveService dst(single_shard_options());
+  std::string err;
+  const LoadStatus status = persist::decode_snapshot(
+      img, &dst.cache(), &dst.subtree_cache(), nullptr, &err);
+  EXPECT_EQ(status, LoadStatus::Corrupt) << err;
+  EXPECT_EQ(dst.subtree_cache().stats().entries, 0u);
+  if (status == LoadStatus::Ok) {
+    // What a loaded image would do next: a solve of the same model hits
+    // the restored root entry and maps its witnesses into host leaves.
+    (void)dst.handle(service::Request::of_text(Problem::Cdpf, model_text(0)));
+  }
 }
 
 // ---------------------------------------------------------------------------

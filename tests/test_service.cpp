@@ -476,7 +476,7 @@ class CountingBackend : public engine::Backend {
     c.tree_det = c.dag_det = c.tree_prob = c.dag_prob = true;
     return c;
   }
-  Front2d cdpf(const CdAt& m) const override {
+  Front2d cdpf(const CdAt& m, const engine::SolveContext&) const override {
     calls_.fetch_add(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     return Front2d::of_candidates(

@@ -25,17 +25,22 @@
 ///               [--listen host:port] [--http] [--max-conns N]
 ///               [--max-line-bytes N] [--max-queue N]
 ///               [--shards N] [--entries N] [--bytes N] [--no-cache]
-///               [--subtree-entries N] [--subtree-bytes N]
-///               [--no-subtree-cache]
 ///               [--snapshot FILE] [--snapshot-interval-s N]
 ///               [--router --shard host:port ...]
 ///
-/// --snapshot FILE makes the caches durable: the file is loaded on
-/// boot when present (a corrupt or foreign snapshot is reported and
+/// --shards/--entries/--bytes size the result cache, the one cache
+/// that outlives a request.  Subtree fronts are kept only by the
+/// request or session that computed them (a session's private memo, an
+/// analysis's own subtree cache), so no flag sizes them.
+///
+/// --snapshot FILE makes the result cache durable: the file is loaded
+/// on boot when present (a corrupt or foreign snapshot is reported and
 /// the server starts cold) and saved on shutdown, in both stdin and
 /// --listen modes; --snapshot-interval-s N additionally saves every N
-/// seconds.  --router turns the binary into a shard-by-model-hash
-/// front door (src/net/router.hpp) over the --shard workers: no local
+/// seconds.  A snapshot's subtree section is written empty and, when an
+/// older image carries entries there, checked and dropped on load.
+/// --router turns the binary into a shard-by-model-hash front door
+/// (src/net/router.hpp) over the --shard workers: no local
 /// solver, every request forwards to the shard owning its canonical
 /// model hash, so isomorphic resubmissions always hit the same warm
 /// cache.  --http and --snapshot do not apply to --router, and --shard
@@ -176,8 +181,6 @@ int usage() {
                "[--listen host:port] [--http] [--max-conns N] "
                "[--max-line-bytes N] [--max-queue N] "
                "[--shards N] [--entries N] [--bytes N] [--no-cache] "
-               "[--subtree-entries N] [--subtree-bytes N] "
-               "[--no-subtree-cache] "
                "[--snapshot FILE] [--snapshot-interval-s N] "
                "[--router --shard host:port ...]\n"
                "Serves the solve API on stdin/stdout in the v1 JSON "
@@ -270,12 +273,6 @@ int main(int argc, char** argv) {
       count(&i, &opt.service.cache.max_bytes);
     else if (std::strcmp(argv[i], "--no-cache") == 0)
       opt.service.enable_cache = false;
-    else if (std::strcmp(argv[i], "--subtree-entries") == 0 && i + 1 < argc)
-      count(&i, &opt.service.subtree.max_entries);
-    else if (std::strcmp(argv[i], "--subtree-bytes") == 0 && i + 1 < argc)
-      count(&i, &opt.service.subtree.max_bytes);
-    else if (std::strcmp(argv[i], "--no-subtree-cache") == 0)
-      opt.service.enable_subtree_cache = false;
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       count(&i, &threads);
     else if (std::strcmp(argv[i], "--slow-ms") == 0 && i + 1 < argc) {

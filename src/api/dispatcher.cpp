@@ -364,8 +364,7 @@ struct OperationHandler {
     sopt.bound = r.spec.bound;
     sopt.engine_name = r.spec.engine;
     sopt.batch = d.service_->options().batch;
-    sopt.shared = d.service_->shared_subtree_cache();
-    sopt.metrics = d.metrics_;
+    sopt.metrics = d.metrics_;  // no shared cache: the private memo only
     const std::uint64_t id = d.sessions_->open(
         std::make_unique<service::Session>(r.spec.model, std::move(sopt)));
     return SessionOpenedPayload{id};
@@ -419,8 +418,13 @@ struct OperationHandler {
   /// Shared analysis knobs.  aopt.batch.cache is the stats-drift fix:
   /// analysis fan-outs consult and feed the same result cache the solve
   /// path serves from, so `stats` reflects every protocol path.
+  /// \p subtrees is the request's own subtree cache (default budgets,
+  /// counting into the stack's atcd_subtree_cache_* instruments): the
+  /// scenarios of one analysis reuse each other's untouched subtree
+  /// fronts, and the fronts are freed with the request.
   analysis::Options analysis_options(engine::Problem problem, double bound,
-                                     const std::string& engine_name) {
+                                     const std::string& engine_name,
+                                     service::SubtreeCache* subtrees) {
     check_engine(*d.service_, engine_name);
     analysis::Options aopt;
     aopt.problem = problem;
@@ -429,7 +433,7 @@ struct OperationHandler {
     aopt.batch = d.service_->options().batch;
     if (d.service_->options().enable_cache)
       aopt.batch.cache = &d.service_->cache();
-    aopt.shared = d.service_->shared_subtree_cache();
+    aopt.shared = subtrees;
     return aopt;
   }
 
@@ -446,8 +450,9 @@ struct OperationHandler {
       if (!axis) raise(ErrorCode::InvalidArgument, std::move(err));
       axes.push_back(*axis);
     }
-    const analysis::Options aopt =
-        analysis_options(r.problem, r.has_bound ? r.bound : 0.0, r.engine);
+    service::SubtreeCache subtrees({.metrics = d.metrics_});
+    const analysis::Options aopt = analysis_options(
+        r.problem, r.has_bound ? r.bound : 0.0, r.engine, &subtrees);
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
     parse_typed(r.problem, r.model, &det, &prob);
@@ -464,7 +469,9 @@ struct OperationHandler {
             "analyze sensitivity takes a front problem (cdpf or cedpf)");
     if (r.has_step && !(std::isfinite(r.step) && r.step > 0.0))
       raise(ErrorCode::InvalidArgument, "bad step (must be > 0)");
-    analysis::Options aopt = analysis_options(r.problem, 0.0, r.engine);
+    service::SubtreeCache subtrees({.metrics = d.metrics_});
+    analysis::Options aopt =
+        analysis_options(r.problem, 0.0, r.engine, &subtrees);
     if (r.has_step) aopt.sensitivity_step = r.step;
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
@@ -502,8 +509,9 @@ struct OperationHandler {
     // hardening scale happens inside portfolio().
     const double bound =
         r.has_bound ? r.bound : std::numeric_limits<double>::infinity();
+    service::SubtreeCache subtrees({.metrics = d.metrics_});
     const analysis::Options aopt =
-        analysis_options(r.problem, bound, r.engine);
+        analysis_options(r.problem, bound, r.engine, &subtrees);
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
     parse_typed(r.problem, r.model, &det, &prob);
@@ -535,11 +543,16 @@ struct OperationHandler {
                                 std::memory_order_relaxed);
   }
 
+  /// Snapshots carry the result cache only.  The subtree section stays
+  /// in the format: a save writes it empty, and a load decodes and
+  /// CRC-checks it, reports its entry count, and keeps none of it, since
+  /// no request reads a service-wide subtree cache.
   Payload operator()(const SnapshotSaveRequest& r) {
     persist::SnapshotInfo info;
     std::string err;
-    if (!persist::save_snapshot(r.path, d.service_->cache(),
-                                d.service_->subtree_cache(), &info, &err)) {
+    const service::SubtreeCache no_subtrees;
+    if (!persist::save_snapshot(r.path, d.service_->cache(), no_subtrees,
+                                &info, &err)) {
       d.persist_save_errors_->add(1);
       raise(ErrorCode::PersistError, std::move(err));
     }
@@ -553,8 +566,7 @@ struct OperationHandler {
     persist::SnapshotInfo info;
     std::string err;
     const persist::LoadStatus status = persist::load_snapshot(
-        r.path, &d.service_->cache(), &d.service_->subtree_cache(), &info,
-        &err);
+        r.path, &d.service_->cache(), nullptr, &info, &err);
     if (status != persist::LoadStatus::Ok) {
       d.persist_load_errors_->add(1);
       std::string message = persist::to_string(status);

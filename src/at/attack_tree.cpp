@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <unordered_set>
 
 namespace atcd {
@@ -23,10 +24,32 @@ void AttackTree::require_not_finalized() const {
     throw ModelError("AttackTree: cannot modify a finalized tree");
 }
 
+std::size_t AttackTree::name_slot(std::string_view name) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
+       i = (i + 1) & mask) {
+    const NodeId id = name_slots_[i];
+    if (id == kNoNode || nodes_[id].name == name) return i;
+  }
+}
+
+std::size_t AttackTree::claim_name_slot(const std::string& name) {
+  if (name.empty()) throw ModelError("AttackTree: node name must be non-empty");
+  if ((nodes_.size() + 1) * 4 > name_slots_.size() * 3) {
+    name_slots_.assign(std::max<std::size_t>(16, name_slots_.size() * 2),
+                       kNoNode);
+    for (NodeId v = 0; v < nodes_.size(); ++v)
+      name_slots_[name_slot(nodes_[v].name)] = v;
+  }
+  const std::size_t slot = name_slot(name);
+  if (name_slots_[slot] != kNoNode)
+    throw ModelError("AttackTree: duplicate node name '" + name + "'");
+  return slot;
+}
+
 NodeId AttackTree::add_bas(std::string name) {
   require_not_finalized();
-  if (name.empty()) throw ModelError("AttackTree: node name must be non-empty");
-  if (find(name)) throw ModelError("AttackTree: duplicate node name '" + name + "'");
+  const std::size_t slot = claim_name_slot(name);
   Node n;
   n.type = NodeType::BAS;
   n.name = std::move(name);
@@ -34,6 +57,7 @@ NodeId AttackTree::add_bas(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::move(n));
   bas_ids_.push_back(id);
+  name_slots_[slot] = id;
   return id;
 }
 
@@ -42,8 +66,7 @@ NodeId AttackTree::add_gate(NodeType type, std::string name,
   require_not_finalized();
   if (type == NodeType::BAS)
     throw ModelError("AttackTree: add_gate requires OR or AND");
-  if (name.empty()) throw ModelError("AttackTree: node name must be non-empty");
-  if (find(name)) throw ModelError("AttackTree: duplicate node name '" + name + "'");
+  const std::size_t slot = claim_name_slot(name);
   if (children.empty())
     throw ModelError("AttackTree: gate '" + name + "' must have children");
   std::unordered_set<NodeId> seen;
@@ -60,6 +83,7 @@ NodeId AttackTree::add_gate(NodeType type, std::string name,
   n.children = std::move(children);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::move(n));
+  name_slots_[slot] = id;
   return id;
 }
 
@@ -69,10 +93,11 @@ void AttackTree::set_root(NodeId v) {
   root_ = v;
 }
 
-std::optional<NodeId> AttackTree::find(const std::string& name) const {
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].name == name) return i;
-  return std::nullopt;
+std::optional<NodeId> AttackTree::find(std::string_view name) const {
+  if (name_slots_.empty()) return std::nullopt;
+  const NodeId id = name_slots_[name_slot(name)];
+  if (id == kNoNode) return std::nullopt;
+  return id;
 }
 
 void AttackTree::finalize() {

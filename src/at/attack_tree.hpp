@@ -12,10 +12,16 @@
 /// Node identity is a dense index NodeId in [0, node_count()).  BASs are
 /// additionally given a dense *BAS index* in [0, bas_count()) in order of
 /// creation; attacks (util/bitset.hpp) are indexed by BAS index.
+///
+/// Names are unique.  An open-addressing table of NodeIds (about 8 bytes
+/// per node, keys compared against the nodes' own names) makes find()
+/// and the duplicate checks of add_bas()/add_gate() O(1), so building a
+/// model costs linear time in its size.
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -102,8 +108,8 @@ class AttackTree {
   /// Node id of the BAS with dense index \p i.
   NodeId bas_id(std::uint32_t i) const { return bas_ids_.at(i); }
 
-  /// Looks a node up by name.
-  std::optional<NodeId> find(const std::string& name) const;
+  /// Looks a node up by name in O(1).
+  std::optional<NodeId> find(std::string_view name) const;
 
   /// True iff every node has at most one parent (and hence the DAG is a
   /// tree rooted at root()).
@@ -125,8 +131,18 @@ class AttackTree {
 
  private:
   void require_not_finalized() const;
+  /// The slot of name_slots_ holding \p name, or the empty slot where it
+  /// would go.  Precondition: name_slots_ is not empty.
+  std::size_t name_slot(std::string_view name) const;
+  /// Validates a new node's \p name and returns the free slot it takes
+  /// once the node exists; grows the table first.  Throws ModelError on
+  /// an empty or duplicate name.
+  std::size_t claim_name_slot(const std::string& name);
 
   std::vector<Node> nodes_;
+  /// Name index: a power-of-two table of NodeIds, kNoNode = empty,
+  /// linear probing, at most 3/4 full.
+  std::vector<NodeId> name_slots_;
   std::vector<NodeId> bas_ids_;
   std::vector<NodeId> topo_;
   NodeId root_ = kNoNode;

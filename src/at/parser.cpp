@@ -3,7 +3,6 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 namespace atcd {
 namespace {
@@ -86,8 +85,6 @@ Attrs parse_attrs(Cursor& cur) {
 
 ParsedModel parse_model(const std::string& text) {
   ParsedModel m;
-  std::unordered_map<std::string, NodeId> by_name;
-  std::unordered_map<NodeId, double> node_damage;
   std::string root_name;
   bool have_root = false;
 
@@ -112,13 +109,12 @@ ParsedModel parse_model(const std::string& text) {
     if (kw == "bas") {
       const std::string name = cur.name();
       const Attrs a = parse_attrs(cur);
-      const NodeId id = m.tree.add_bas(name);
-      by_name[name] = id;
+      m.tree.add_bas(name);
       m.cost.push_back(a.cost);
       if (a.prob < 0.0 || a.prob > 1.0)
         cur.fail("prob must lie in [0,1]");
       m.prob.push_back(a.prob);
-      node_damage[id] = a.damage;
+      m.damage.push_back(a.damage);  // NodeIds are dense, in creation order
       continue;
     }
 
@@ -128,17 +124,15 @@ ParsedModel parse_model(const std::string& text) {
       std::vector<NodeId> children;
       do {
         const std::string cname = cur.name();
-        const auto it = by_name.find(cname);
-        if (it == by_name.end())
-          cur.fail("child '" + cname + "' not defined before use");
-        children.push_back(it->second);
+        const auto child = m.tree.find(cname);
+        if (!child) cur.fail("child '" + cname + "' not defined before use");
+        children.push_back(*child);
       } while (cur.accept(','));
       // Remaining tokens are attributes.
       const Attrs a = parse_attrs(cur);
-      const NodeId id = m.tree.add_gate(
-          kw == "or" ? NodeType::OR : NodeType::AND, name, std::move(children));
-      by_name[name] = id;
-      node_damage[id] = a.damage;
+      m.tree.add_gate(kw == "or" ? NodeType::OR : NodeType::AND, name,
+                      std::move(children));
+      m.damage.push_back(a.damage);
       continue;
     }
 
@@ -146,14 +140,11 @@ ParsedModel parse_model(const std::string& text) {
   }
 
   if (have_root) {
-    const auto it = by_name.find(root_name);
-    if (it == by_name.end())
-      throw ParseError("root '" + root_name + "' was never defined");
-    m.tree.set_root(it->second);
+    const auto root = m.tree.find(root_name);
+    if (!root) throw ParseError("root '" + root_name + "' was never defined");
+    m.tree.set_root(*root);
   }
   m.tree.finalize();
-  m.damage.assign(m.tree.node_count(), 0.0);
-  for (const auto& [id, d] : node_damage) m.damage[id] = d;
   return m;
 }
 

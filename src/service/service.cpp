@@ -79,7 +79,7 @@ engine::SolveResult SolveService::solve(const Request& request) {
   in.backend = request.engine_name;
   engine::BatchOptions opt = options_.batch;
   opt.cache = nullptr;  // the service layers its own cache + coalescing
-  opt.subtree = shared_subtree_cache();
+  opt.subtree = nullptr;  // subtree fronts live only as long as this sweep
   return engine::solve_one(in, opt);
 }
 

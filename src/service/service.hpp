@@ -15,6 +15,14 @@
 /// in-flight identical solve, the canonical hash, and the wall time
 /// spent inside handle().
 ///
+/// Misses run the engine with no subtree memo: the sweep's per-node
+/// fronts are freed when it returns.  A service-wide SubtreeCache would
+/// let distinct models share subtree fronts, but on served traffic it hit
+/// 1-5% of lookups, slowed every cold solve, and made a deep chain's
+/// memory grow with n x depth.  subtree_cache() is still owned here for
+/// snapshot tooling and callers that bind it explicitly; no request path
+/// reads or writes it.
+///
 /// handle() is thread-safe; a SolveService is meant to be shared by all
 /// connection/worker threads of a server (examples/atcd_server.cpp).
 
@@ -73,12 +81,10 @@ class SolveService {
     engine::BatchOptions batch;  ///< registry/policy for the solve path
     ResultCache::Config cache;
     bool enable_cache = true;  ///< false: every request solves (benchmarks)
-    /// The shared per-subtree front cache (service/subtree_cache.hpp):
-    /// consulted by incremental-capable backends on the one-shot solve
-    /// path and layered under every session's private memo, so distinct
-    /// models sharing subtrees reuse each other's work.
+    /// Sizes subtree_cache().  No request path binds that cache: a
+    /// solve keeps its subtree fronts for its own sweep only, a session
+    /// in its private memo, an analysis in a cache of its own.
     SubtreeCache::Config subtree;
-    bool enable_subtree_cache = true;
     /// Instrument home for the whole serving stack: the service's own
     /// latency histogram plus both caches' counters land here (the
     /// cache/subtree Config::metrics fields are overwritten with this
@@ -97,6 +103,7 @@ class SolveService {
 
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
+  /// Bound by no request path (see the file comment).
   SubtreeCache& subtree_cache() { return subtree_cache_; }
   const SubtreeCache& subtree_cache() const { return subtree_cache_; }
   const Options& options() const { return options_; }
@@ -104,12 +111,6 @@ class SolveService {
   /// The stack's instrument registry (Options::metrics, or the private
   /// fallback); never null.
   obs::Registry& metrics() const { return *options_.metrics; }
-
-  /// The shared subtree cache when enabled, else null — what the solve
-  /// path and new sessions attach.
-  SubtreeCache* shared_subtree_cache() {
-    return options_.enable_subtree_cache ? &subtree_cache_ : nullptr;
-  }
 
  private:
   struct InFlight {

@@ -16,11 +16,13 @@
 ///    resolve pulls every still-valid subtree straight from the memo —
 ///    no hashing, no witness translation.  Structural edits
 ///    (replace-subtree) reset it.
-///  * Optionally, the service-wide SubtreeCache (Options::shared):
-///    fronts computed by this session become reusable by other sessions
-///    and one-shot requests that share isomorphic subtrees — and after a
-///    structural edit, unchanged subtrees can be *re*-covered from it by
-///    canonical hash even though their NodeIds moved.
+///  * Optionally, a SubtreeCache (Options::shared): fronts computed by
+///    this session become reusable by whoever else binds that cache —
+///    and after a structural edit, unchanged subtrees can be *re*-covered
+///    from it by canonical hash even though their NodeIds moved.  The
+///    analysis sweep passes its request's own cache; sessions opened
+///    through the API pass none and keep only the private memo, so a
+///    session's fronts are freed when it closes.
 ///
 /// Both layers implement the arena sweep's memo protocol
 /// (detail::SubtreeVisitor: one lookup and one store over SoA views).
@@ -36,10 +38,10 @@
 /// (engine::Capabilities::incremental — bottom-up on treelike models);
 /// otherwise resolve() transparently falls back to a full solve, so
 /// sessions work on every model class the engines support.  The full-
-/// solve fallback still feeds the shared SubtreeCache: the model's
-/// maximal exclusively-owned treelike portions are swept into it, so
-/// other sessions and treelike one-shot solves sharing those subtrees
-/// reuse this session's work even though its own backend cannot.
+/// solve fallback still feeds Options::shared when one is set: the
+/// model's maximal exclusively-owned treelike portions are swept into
+/// it, so treelike solves sharing those subtrees reuse this session's
+/// work even though its own backend cannot.
 ///
 /// Responses hand out the current model snapshot by shared pointer;
 /// the first edit after a snapshot left the session copy-on-writes the
@@ -74,9 +76,9 @@ class Session {
     /// Registry/policy for the solve path; its cache/subtree hooks are
     /// ignored (the session supplies its own memo chain).
     engine::BatchOptions batch;
-    /// Optional cross-session subtree cache layered under the private
-    /// memo: fronts computed here become visible to other sessions and
-    /// one-shot requests that share subtrees, and vice versa.
+    /// Optional subtree cache layered under the private memo: fronts
+    /// computed here become visible to everyone else bound to it, and
+    /// vice versa.  Null (the API's sessions) = the private memo only.
     SubtreeCache* shared = nullptr;
     /// toggle-defense hardening.  Defaults differ from defense.hpp's
     /// (infinite cost): sessions keep costs finite so every backend —

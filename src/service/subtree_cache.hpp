@@ -35,6 +35,15 @@
 /// local fronts — never the model — so enabling both caches on one
 /// BatchOptions counts every byte exactly once (each cache accounts its
 /// own storage; tests/test_subtree_cache.cpp asserts the additivity).
+///
+/// Lifetime.  No served request binds a service-wide instance: on served
+/// traffic one hit 1-5% of lookups and slowed every cold solve, and a
+/// binding materializes the full signature of every subtree it stores,
+/// O(n x depth) bytes per solve on a deep chain.  The API dispatcher
+/// gives each analysis request a cache of its own, so that one job's
+/// scenarios share subtree fronts and free them with the response.
+/// SolveService::subtree_cache() and the snapshot section remain for
+/// tooling that binds a cache explicitly.
 
 #include <cstdint>
 #include <functional>

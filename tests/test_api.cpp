@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -1317,6 +1319,67 @@ TEST(ExactHit, SnapshotsStayByteIdenticalWhileAliasesAreResident) {
   EXPECT_EQ(persist::encode_snapshot(loaded.service().cache(),
                                      loaded.service().subtree_cache()),
             saved);
+}
+
+TEST(Snapshot, ServedRequestsLeaveTheServiceSubtreeCacheAlone) {
+  const std::string model =
+      "bas a cost=1 damage=2\nbas b cost=4 damage=1\nbas c cost=2\n"
+      "and g = a, b damage=3\nor r = g, c damage=10\n";
+  const std::string path =
+      ::testing::TempDir() + "api_subtrees_" + std::to_string(::getpid());
+  // An image whose subtree section holds entries, as older servers wrote.
+  {
+    service::SolveService src;
+    const service::Response r = src.handle(
+        service::Request::of_text(engine::Problem::Dgc, model, 5.0));
+    ASSERT_TRUE(r.result.ok) << r.result.error;
+    engine::BatchOptions bound_to_cache;
+    bound_to_cache.subtree = &src.subtree_cache();
+    ASSERT_TRUE(engine::solve_one(
+                    engine::Instance::of(engine::Problem::Dgc, *r.det, 5.0),
+                    bound_to_cache)
+                    .ok);
+    ASSERT_GT(src.subtree_cache().stats().entries, 0u);
+    ASSERT_TRUE(persist::save_snapshot(path, src.cache(), src.subtree_cache()));
+  }
+
+  Dispatcher d;
+  Request load;
+  load.op = SnapshotLoadRequest{path};
+  const Response loaded = d.dispatch(load);
+  ASSERT_EQ(loaded.code, ErrorCode::Ok) << loaded.error;
+  EXPECT_EQ(std::get<SnapshotPayload>(loaded.payload).result_entries, 1u);
+  EXPECT_GT(std::get<SnapshotPayload>(loaded.payload).subtree_entries, 0u)
+      << "the section is still decoded and counted";
+  EXPECT_EQ(d.service().subtree_cache().stats().entries, 0u);
+
+  // A hit, a cold solve, a session and an analysis: none reaches it.
+  const Response hit = d.dispatch(solve_of(engine::Problem::Dgc, model, 5.0));
+  ASSERT_EQ(hit.code, ErrorCode::Ok);
+  EXPECT_EQ(std::get<SolvePayload>(hit.payload).cache, "hit");
+  ASSERT_EQ(d.dispatch(solve_of(engine::Problem::Cdpf, model)).code,
+            ErrorCode::Ok);
+  Request open;
+  open.op = SessionOpenRequest{{engine::Problem::Dgc, 5.0, true, "", model}};
+  const Response opened = d.dispatch(open);
+  ASSERT_EQ(opened.code, ErrorCode::Ok);
+  Request resolve;
+  resolve.op = SessionResolveRequest{
+      std::get<SessionOpenedPayload>(opened.payload).session};
+  ASSERT_EQ(d.dispatch(resolve).code, ErrorCode::Ok);
+  Request sweep;
+  sweep.op = AnalyzeSweepRequest{
+      engine::Problem::Dgc, {"cost:a:1:3:3"}, 5.0, true, "", model};
+  ASSERT_EQ(d.dispatch(sweep).code, ErrorCode::Ok);
+  EXPECT_EQ(d.service().subtree_cache().stats().entries, 0u);
+
+  Request save;
+  save.op = SnapshotSaveRequest{path};
+  const Response saved = d.dispatch(save);
+  ASSERT_EQ(saved.code, ErrorCode::Ok) << saved.error;
+  EXPECT_EQ(std::get<SnapshotPayload>(saved.payload).result_entries, 2u);
+  EXPECT_EQ(std::get<SnapshotPayload>(saved.payload).subtree_entries, 0u);
+  ::unlink(path.c_str());
 }
 
 TEST(ExactHit, ConcurrentHitsInsertsAndEvictionsServeCanonicalBytes) {

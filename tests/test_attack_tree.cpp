@@ -63,6 +63,38 @@ TEST(AttackTree, RejectsDuplicateNames) {
   t.add_bas("x");
   EXPECT_THROW(t.add_bas("x"), ModelError);
   EXPECT_THROW(t.add_gate(NodeType::OR, "x", {0}), ModelError);
+  try {
+    t.add_gate(NodeType::AND, "x", {0});
+    ADD_FAILURE() << "duplicate accepted";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(), "AttackTree: duplicate node name 'x'");
+  }
+  EXPECT_EQ(t.node_count(), 1u);
+}
+
+TEST(AttackTree, NameIndexFindsEveryNodeAcrossGrowth) {
+  // Enough nodes to grow the name table several times; names share long
+  // prefixes and suffixes so probes compare real strings.
+  AttackTree t;
+  std::vector<NodeId> prev;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string leaf = "leaf_" + std::to_string(i) + "_x";
+    const NodeId b = t.add_bas(leaf);
+    if (i % 3 == 2) {
+      prev.push_back(t.add_gate(NodeType::AND, "gate_" + std::to_string(i),
+                                {b, b - 1, b - 2}));
+    }
+  }
+  t.add_gate(NodeType::OR, "top", prev);
+  AttackTree copy = t;  // the index travels with copies
+  for (const AttackTree* tree : {&t, &copy})
+    for (NodeId v = 0; v < tree->node_count(); ++v)
+      EXPECT_EQ(tree->find(tree->name(v)), std::optional<NodeId>(v));
+  EXPECT_FALSE(t.find("leaf_3000_x").has_value());
+  EXPECT_FALSE(t.find("leaf_1_").has_value());
+  EXPECT_FALSE(t.find("").has_value());
+  EXPECT_FALSE(AttackTree().find("top").has_value());
+  EXPECT_THROW(t.add_bas("gate_2"), ModelError);
 }
 
 TEST(AttackTree, RejectsEmptyAndBadGates) {

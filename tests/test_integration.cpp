@@ -1,10 +1,18 @@
 /// End-to-end integration tests across module boundaries: literature
 /// building blocks -> random decorations -> text serialisation -> parse
 /// -> engines.  Each test exercises a pipeline a downstream user would
-/// actually run.
+/// actually run.  The last one sends a deep model through the API
+/// dispatcher and bounds its peak memory; it lives here, outside the
+/// sanitizer test sets, because sanitizers inflate RSS.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <sstream>
+#include <variant>
+
+#include "api/dispatcher.hpp"
 #include "at/dot.hpp"
 #include "at/parser.hpp"
 #include "bdd/at_bdd.hpp"
@@ -108,6 +116,66 @@ TEST(Integration, BinarizationCommutesWithEveryEngine) {
     ASSERT_TRUE(fronts_equal(cdpf(m.deterministic(), Engine::Bilp),
                              cdpf(bin.deterministic(), Engine::Bilp)));
   }
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+/// A tree chain of \p gates alternating OR/AND gates, each over the
+/// previous gate and a fresh BAS: depth = gates, ~60 bytes per gate.
+std::string tree_chain(int gates) {
+  std::ostringstream o;
+  o << "bas b0 cost=1 damage=1\n";
+  std::string prev = "b0";
+  for (int i = 1; i <= gates; ++i) {
+    o << "bas b" << i << " cost=" << (i % 7 + 1) << " damage=" << (i % 5 + 1)
+      << "\n"
+      << (i % 2 ? "or" : "and") << " g" << i << " = " << prev << ", b" << i
+      << " damage=" << (i % 3 + 1) << "\n";
+    prev = "g" + std::to_string(i);
+  }
+  return o.str();
+}
+
+TEST(Integration, DeepTreeChainCostsWhatItsBytesCost) {
+  // A DgC with budget 1 on a 2,500-gate chain (a ~149 KB request).  Per-
+  // node fronts are tiny, so the solve and the session must stay within
+  // a few MB; memoizing every subtree's front with a per-subtree leaf map
+  // grows with n x depth and takes hundreds of MB here.
+  api::SolveSpec spec;
+  spec.problem = engine::Problem::Dgc;
+  spec.bound = 1.0;
+  spec.has_bound = true;
+  spec.model = tree_chain(2500);
+  const long before = peak_rss_kb();
+
+  api::Dispatcher d;
+  api::Request solve;
+  solve.op = api::SolveRequest{spec};
+  const api::Response solved = d.dispatch(solve);
+  ASSERT_EQ(solved.code, api::ErrorCode::Ok) << solved.error;
+  const auto& attack = std::get<api::SolvePayload>(solved.payload);
+
+  api::Request open;
+  open.op = api::SessionOpenRequest{spec};
+  const api::Response opened = d.dispatch(open);
+  ASSERT_EQ(opened.code, api::ErrorCode::Ok) << opened.error;
+  api::Request resolve;
+  resolve.op = api::SessionResolveRequest{
+      std::get<api::SessionOpenedPayload>(opened.payload).session};
+  const api::Response resolved = d.dispatch(resolve);
+  ASSERT_EQ(resolved.code, api::ErrorCode::Ok) << resolved.error;
+  const auto& again = std::get<api::SolvePayload>(resolved.payload);
+
+  EXPECT_LT(peak_rss_kb() - before, 64 * 1024) << "peak RSS rose (KB)";
+  ASSERT_TRUE(attack.feasible);
+  EXPECT_EQ(again.feasible, attack.feasible);
+  EXPECT_EQ(again.cost, attack.cost);
+  EXPECT_EQ(again.damage, attack.damage);
+  EXPECT_EQ(again.attack, attack.attack);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <sstream>
+
 #include "at/dot.hpp"
 #include "casestudies/factory.hpp"
 #include "core/cdat.hpp"
@@ -93,6 +97,42 @@ TEST(Parser, RoundTripSerialisation) {
     ASSERT_EQ(back.damage, m.damage);
     ASSERT_EQ(back.tree.name(back.tree.root()), m.tree.name(m.tree.root()));
   }
+}
+
+/// A flat OR over \p n BASs, as text.
+std::string flat_or(int n) {
+  std::ostringstream o;
+  for (int i = 0; i < n; ++i) o << "bas b" << i << " cost=1\n";
+  o << "or top = b0";
+  for (int i = 1; i < n; ++i) o << ", b" << i;
+  o << "\n";
+  return o.str();
+}
+
+/// Best-of-5 wall time of parse_model(text), in seconds.
+double parse_seconds(const std::string& text) {
+  double best = 1e9;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto m = parse_model(text);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(m.tree.node_count(), static_cast<std::size_t>(
+                                       std::count(text.begin(), text.end(),
+                                                  '\n')));
+    best = std::min(best, dt.count());
+  }
+  return best;
+}
+
+TEST(Parser, ParseTimeGrowsLinearlyInNodeCount) {
+  // 8x the BASs must cost well under the 64x a per-node name scan costs.
+  // Linear parsing measures 8-18x here: the larger model outgrows the
+  // CPU caches, and the small one takes only ~2 ms, so the bound leaves
+  // room for that and for timer noise.
+  const double small = parse_seconds(flat_or(5000));
+  const double large = parse_seconds(flat_or(40000));
+  EXPECT_LT(large, 32 * small) << small << " s -> " << large << " s";
 }
 
 TEST(Dot, ContainsNodesEdgesAndDecorations) {

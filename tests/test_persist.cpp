@@ -68,12 +68,20 @@ std::string permuted_model_text(unsigned i) {
 }
 
 /// Solves `count` distinct models so both caches hold real entries
-/// (fronts, witnesses, canonical keys).
+/// (fronts, witnesses, canonical keys).  handle() binds no subtree
+/// cache, so each model is solved once more with the service's subtree
+/// cache attached explicitly.
 void fill(SolveService& svc, unsigned count, unsigned salt = 0) {
+  engine::BatchOptions with_subtrees;
+  with_subtrees.subtree = &svc.subtree_cache();
   for (unsigned i = 0; i < count; ++i) {
     const auto resp = svc.handle(
         service::Request::of_text(Problem::Cdpf, model_text(salt + i)));
     ASSERT_TRUE(resp.result.ok) << resp.result.error;
+    ASSERT_TRUE(resp.det);
+    const auto direct = engine::solve_one(
+        engine::Instance::of(Problem::Cdpf, *resp.det), with_subtrees);
+    ASSERT_TRUE(direct.ok) << direct.error;
   }
 }
 

@@ -25,6 +25,12 @@
 /// thread-count independent) and aggregation is a pure function of the
 /// results, so the rendered tables are byte-identical across thread
 /// counts (tests/test_analysis.cpp pins this).
+///
+/// No analysis binds a cache: scenarios share no subtree fronts and are
+/// never written to the service's result cache, so an analysis costs
+/// what its own solves cost and leaves the served caches as it found
+/// them.  A sweep's session keeps its private per-node memo, which dies
+/// with the sweep.
 
 #include <optional>
 #include <string>
@@ -32,7 +38,6 @@
 
 #include "defense/defense.hpp"
 #include "engine/batch.hpp"
-#include "service/subtree_cache.hpp"
 
 namespace atcd::analysis {
 
@@ -84,15 +89,12 @@ std::optional<defense::Countermeasure> parse_countermeasure(
 /// per-scenario solve (sensitivity ignores them: it always compares the
 /// model's front problem; portfolio reads `bound` as the attacker
 /// budget of the residual DgC/EDgC).  `batch` carries the registry /
-/// policy / thread count for fan-outs, and `shared` layers the
-/// service-wide subtree cache under every derived solve so scenarios
-/// that differ in one leaf reuse each other's subtree fronts.
+/// policy / thread count for fan-outs.
 struct Options {
   engine::Problem problem = engine::Problem::Cdpf;
   double bound = 0.0;        ///< budget/threshold; ignored by the fronts
   std::string engine_name;   ///< explicit engine; "" = planner's choice
   engine::BatchOptions batch;
-  service::SubtreeCache* shared = nullptr;
   /// Hardening applied by Defense axes and portfolio selections.  The
   /// cost factor is finite so every backend stays exact — including BILP
   /// on hardened DAG models, whose simplex equilibrates rows and columns

@@ -84,8 +84,6 @@ PortfolioResult portfolio_impl(
   // discard — 2^20 affordable subsets must not mean 2^20 resident
   // whole-model copies.  Chunking cannot change results: every
   // instance is solved independently.
-  engine::BatchOptions batch = opt.batch;
-  if (!batch.subtree && opt.shared) batch.subtree = opt.shared;
   constexpr std::size_t kChunk = 1024;
   std::vector<Model> models;
   std::vector<engine::Instance> instances;
@@ -102,7 +100,7 @@ PortfolioResult portfolio_impl(
           out.problem, models.back(), out.attacker_budget, opt.engine_name));
     }
     const std::vector<engine::SolveResult> results =
-        engine::solve_all(instances, batch);
+        engine::solve_all(instances, opt.batch);
     for (std::size_t i = 0; i < count; ++i) {
       if (!results[i].ok)
         throw Error("portfolio: residual solve failed: " + results[i].error);

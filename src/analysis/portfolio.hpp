@@ -20,11 +20,11 @@
 /// unaffordable selection), and the surviving hardened scenarios fan out
 /// through engine::solve_all — the planner routes each to bottom-up /
 /// knapsack / BILP / BDD as the hardened model's class dictates, and
-/// the shared SubtreeCache (Options::shared) lets scenarios reuse the
-/// fronts of subtrees no selected defense touches.  Results are
-/// deterministic across thread counts; ties resolve toward cheaper and
-/// lexicographically earlier portfolios (tests/test_analysis.cpp
-/// cross-validates against plain brute-force enumeration).
+/// each scenario is solved on its own (no cache is bound, and none is
+/// fed).  Results are deterministic across thread counts; ties resolve
+/// toward cheaper and lexicographically earlier portfolios
+/// (tests/test_analysis.cpp cross-validates against plain brute-force
+/// enumeration).
 
 #include <string>
 #include <vector>

@@ -65,10 +65,7 @@ SensitivityReport sensitivity_impl(const Model& m, const Options& opt) {
   }
 
   // Fan the base solve plus every distinct scenario out through
-  // solve_all; the shared subtree cache (if any) lets scenarios reuse
-  // every subtree front the perturbed leaf does not sit under.
-  engine::BatchOptions batch = opt.batch;
-  if (!batch.subtree && opt.shared) batch.subtree = opt.shared;
+  // solve_all; each is solved on its own.
   std::vector<Model> models;
   std::vector<engine::Instance> instances;
   models.reserve(report.ranking.size());
@@ -86,7 +83,7 @@ SensitivityReport sensitivity_impl(const Model& m, const Options& opt) {
                                              0.0, opt.engine_name));
   }
   const std::vector<engine::SolveResult> results =
-      engine::solve_all(instances, batch);
+      engine::solve_all(instances, opt.batch);
 
   if (!results[0].ok)
     throw Error("sensitivity: base solve failed: " + results[0].error);

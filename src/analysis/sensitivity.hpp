@@ -13,13 +13,11 @@
 /// front_distance between the perturbed and base fronts: the maximal
 /// attainable-damage shift at equal cost.
 ///
-/// The perturbed instances differ from the base model in exactly one
-/// leaf, so fanning them through engine::solve_all with the shared
-/// SubtreeCache attached (Options::shared) lets every solve reuse all
-/// untouched subtree fronts — the same mechanism incremental sessions
-/// use, here across a batch of sibling scenarios.  Results are
-/// deterministic across thread counts; ties in the ranking break by
-/// (attribute, node name).
+/// The base model and the perturbed instances fan out through
+/// engine::solve_all, each solved on its own across the thread pool;
+/// no cache is bound, so a request's memory is that of its in-flight
+/// solves.  Results are deterministic across thread counts; ties in
+/// the ranking break by (attribute, node name).
 
 #include <string>
 #include <vector>

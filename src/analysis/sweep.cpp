@@ -15,7 +15,6 @@ service::Session::Options session_options(const Options& opt) {
   s.bound = opt.bound;
   s.engine_name = opt.engine_name;
   s.batch = opt.batch;
-  s.shared = opt.shared;
   s.hardening = opt.hardening;
   // The sweep consumes only Response::result; skipping the per-point
   // model snapshot keeps each grid edit O(depth) instead of forcing a

@@ -11,8 +11,9 @@
 /// (bench/analysis_sweep.cpp quantifies the win over from-scratch
 /// per-point solves).  DAG models transparently fall back to full
 /// solves per point through the same Session, so sweeps work on every
-/// model class the engines support; Options::shared additionally layers
-/// the service-wide SubtreeCache under the session either way.
+/// model class the engines support.  The session binds no shared
+/// subtree cache: its private memo is the only reuse, and it dies with
+/// the sweep.
 ///
 /// Cells are solved in a fixed order and the result vector is indexed
 /// by grid coordinates, so sweep output — and its to_table() rendering —

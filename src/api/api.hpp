@@ -355,6 +355,8 @@ struct PersistCounters {
 
 struct StatsPayload {
   service::ResultCache::Stats cache;
+  /// The service's subtree cache; no request binds it, so it reads 0 on
+  /// a server.
   service::SubtreeCache::Stats subtree;
   std::size_t sessions = 0;
   DispatchCounters api;

@@ -415,25 +415,18 @@ struct OperationHandler {
     return SessionClosedPayload{};
   }
 
-  /// Shared analysis knobs.  aopt.batch.cache is the stats-drift fix:
-  /// analysis fan-outs consult and feed the same result cache the solve
-  /// path serves from, so `stats` reflects every protocol path.
-  /// \p subtrees is the request's own subtree cache (default budgets,
-  /// counting into the stack's atcd_subtree_cache_* instruments): the
-  /// scenarios of one analysis reuse each other's untouched subtree
-  /// fronts, and the fronts are freed with the request.
+  /// Shared analysis knobs.  No cache is bound: each scenario is solved
+  /// on its own, so an analysis neither reads nor writes the result
+  /// cache the solve path serves from, and holds no subtree fronts past
+  /// its own solves.
   analysis::Options analysis_options(engine::Problem problem, double bound,
-                                     const std::string& engine_name,
-                                     service::SubtreeCache* subtrees) {
+                                     const std::string& engine_name) {
     check_engine(*d.service_, engine_name);
     analysis::Options aopt;
     aopt.problem = problem;
     aopt.bound = bound;
     aopt.engine_name = engine_name;
     aopt.batch = d.service_->options().batch;
-    if (d.service_->options().enable_cache)
-      aopt.batch.cache = &d.service_->cache();
-    aopt.shared = subtrees;
     return aopt;
   }
 
@@ -450,9 +443,8 @@ struct OperationHandler {
       if (!axis) raise(ErrorCode::InvalidArgument, std::move(err));
       axes.push_back(*axis);
     }
-    service::SubtreeCache subtrees({.metrics = d.metrics_});
-    const analysis::Options aopt = analysis_options(
-        r.problem, r.has_bound ? r.bound : 0.0, r.engine, &subtrees);
+    const analysis::Options aopt =
+        analysis_options(r.problem, r.has_bound ? r.bound : 0.0, r.engine);
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
     parse_typed(r.problem, r.model, &det, &prob);
@@ -469,9 +461,7 @@ struct OperationHandler {
             "analyze sensitivity takes a front problem (cdpf or cedpf)");
     if (r.has_step && !(std::isfinite(r.step) && r.step > 0.0))
       raise(ErrorCode::InvalidArgument, "bad step (must be > 0)");
-    service::SubtreeCache subtrees({.metrics = d.metrics_});
-    analysis::Options aopt =
-        analysis_options(r.problem, 0.0, r.engine, &subtrees);
+    analysis::Options aopt = analysis_options(r.problem, 0.0, r.engine);
     if (r.has_step) aopt.sensitivity_step = r.step;
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
@@ -509,9 +499,7 @@ struct OperationHandler {
     // hardening scale happens inside portfolio().
     const double bound =
         r.has_bound ? r.bound : std::numeric_limits<double>::infinity();
-    service::SubtreeCache subtrees({.metrics = d.metrics_});
-    const analysis::Options aopt =
-        analysis_options(r.problem, bound, r.engine, &subtrees);
+    const analysis::Options aopt = analysis_options(r.problem, bound, r.engine);
     std::shared_ptr<const CdAt> det;
     std::shared_ptr<const CdpAt> prob;
     parse_typed(r.problem, r.model, &det, &prob);

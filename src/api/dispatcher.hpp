@@ -16,9 +16,9 @@
 /// stringified into free-form ok=false messages.
 ///
 /// Stats: the dispatcher is the one source of truth.  Its per-operation
-/// counters cover every path — including the analyses, whose derived
-/// solves also run against the service's result cache, so `stats`
-/// reflects the work actually done.
+/// counters cover every path, the analyses included.  An analysis's
+/// derived solves bind no cache, so the result-cache counters count
+/// served solves only, and an analysis cannot evict a served model.
 ///
 /// Observability: every dispatcher-assembled stack shares one
 /// obs::Registry (owned here unless Options::metrics injects one).  The

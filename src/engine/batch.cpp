@@ -47,8 +47,13 @@ std::string instance_error(const Instance& in) {
 
 namespace {
 
+/// Solves one instance under the "engine.solve" span, binding the
+/// caller's subtree memo.
 SolveResult run_instance(const Instance& in, const Planner& planner,
-                         const SolveContext& ctx) {
+                         const BatchOptions& opt) {
+  obs::SpanScope span("engine.solve");
+  SolveContext ctx;
+  ctx.subtree = opt.subtree;
   SolveResult out;
   if (std::string err = instance_error(in); !err.empty()) {
     out.error = std::move(err);
@@ -90,30 +95,12 @@ Planner make_planner(const BatchOptions& opt) {
   return Planner(r, p);
 }
 
-/// run_instance() behind the optional cache hook: hits skip the solve,
-/// successful misses are offered back for storage.  A whole-model hit
-/// returns before the subtree memo is bound, so enabling both caches
-/// never performs (or accounts) the same work twice.
-SolveResult run_cached(const Instance& in, const Planner& planner,
-                       const BatchOptions& opt) {
-  SolveResult out;
-  if (opt.cache && opt.cache->lookup(in, &out)) return out;
-  SolveContext ctx;
-  ctx.subtree = opt.subtree;
-  {
-    obs::SpanScope span("engine.solve");
-    out = run_instance(in, planner, ctx);
-  }
-  if (out.ok && opt.cache) opt.cache->store(in, out);
-  return out;
-}
-
 }  // namespace
 
 SolveResult solve_one(const Instance& instance, const BatchOptions& opt) {
   const Planner planner = make_planner(opt);
   try {
-    return run_cached(instance, planner, opt);
+    return run_instance(instance, planner, opt);
   } catch (const std::exception& e) {
     SolveResult out;
     out.error = e.what();
@@ -142,7 +129,7 @@ std::vector<SolveResult> solve_all(std::span<const Instance> instances,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= instances.size()) return;
       try {
-        results[i] = run_cached(instances[i], planner, opt);
+        results[i] = run_instance(instances[i], planner, opt);
       } catch (const std::exception& e) {
         results[i].ok = false;
         results[i].error = e.what();

@@ -10,6 +10,11 @@
 /// thread configuration.  Per-instance failures (capacity, unsupported
 /// class, solver errors) are captured in the result instead of tearing
 /// down the batch.
+///
+/// The engine layer caches nothing.  Whole-model result caching lives in
+/// the service (service::SolveService::handle), and the one hook here,
+/// BatchOptions::subtree, is bound on served paths only by a session's
+/// private memo (tooling may bind a service::SubtreeCache to it).
 
 #include <span>
 #include <string>
@@ -44,20 +49,6 @@ struct SolveResult {
   OptAttack attack;          ///< DgC / CgD / EDgC / CgED result
 };
 
-/// Optional result-cache hook consulted by solve_one()/solve_all().
-/// The engine layer defines only this interface; the implementation
-/// lives above it (service::ResultCache keys entries by canonical model
-/// hash).  Implementations must be thread-safe: solve_all() calls them
-/// concurrently from every worker.
-class SolveCache {
- public:
-  virtual ~SolveCache() = default;
-  /// Returns true and fills \p out when the instance's result is cached.
-  virtual bool lookup(const Instance& in, SolveResult* out) = 0;
-  /// Offers a successful result for storage (failures are never offered).
-  virtual void store(const Instance& in, const SolveResult& result) = 0;
-};
-
 struct BatchOptions {
   /// Worker threads; 0 = min(hardware_concurrency, batch size).
   std::size_t threads = 0;
@@ -65,12 +56,8 @@ struct BatchOptions {
   const Registry* registry = nullptr;
   /// Auto-selection policy; null = the Table I default.
   const Policy* policy = nullptr;
-  /// Result cache consulted before and fed after each solve; null = none.
-  SolveCache* cache = nullptr;
   /// Per-subtree memo bound by incremental-capable backends (see
-  /// Capabilities::incremental); null = none.  Independent of `cache`:
-  /// a whole-model cache hit skips the solve entirely, so the two never
-  /// store the same work twice — and each accounts only its own bytes.
+  /// Capabilities::incremental); null = none.
   SubtreeMemo* subtree = nullptr;
 };
 

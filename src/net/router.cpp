@@ -7,7 +7,7 @@
 #include "api/json.hpp"
 #include "core/cdat.hpp"
 #include "net/client.hpp"
-#include "service/subtree_cache.hpp"
+#include "service/canon.hpp"
 
 namespace atcd::net {
 

@@ -9,6 +9,7 @@
 
 #include "at/parser.hpp"
 #include "pareto/front_soa.hpp"
+#include "service/canon.hpp"
 #include "service/subtree_cache.hpp"
 
 namespace atcd::persist {

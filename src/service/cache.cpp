@@ -8,7 +8,6 @@
 
 #include "obs/trace.hpp"
 #include "service/hash_mix.hpp"
-#include "service/subtree_cache.hpp"
 
 namespace atcd::service {
 namespace {
@@ -359,32 +358,6 @@ void ResultCache::evict_to_budget(Shard& shard) {
     shard.lru.pop_back();
     evictions_->add(1);
   }
-}
-
-bool ResultCache::lookup(const engine::Instance& in,
-                         engine::SolveResult* out) {
-  const auto key = make_key(in);
-  if (!key) return false;
-  auto r = lookup(*key, in.det, in.prob);
-  if (!r) return false;
-  *out = std::move(*r);
-  return true;
-}
-
-void ResultCache::store(const engine::Instance& in,
-                        const engine::SolveResult& result) {
-  if (!result.ok) return;
-  const auto key = make_key(in);
-  if (!key) return;
-  // The hook borrows caller-owned models, so retain private copies for
-  // the collision deep check.
-  std::shared_ptr<const CdAt> det;
-  std::shared_ptr<const CdpAt> prob;
-  if (engine::is_probabilistic(in.problem))
-    prob = std::make_shared<CdpAt>(*in.prob);
-  else
-    det = std::make_shared<CdAt>(*in.det);
-  insert(*key, std::move(det), std::move(prob), result);
 }
 
 std::vector<ResultCache::ExportedEntry> ResultCache::export_entries() const {

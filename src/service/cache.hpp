@@ -20,9 +20,10 @@
 /// 1/N of the global entry and byte budgets, so concurrent lookups from
 /// the batch workers contend only when they land on the same shard.
 ///
-/// ResultCache also implements engine::SolveCache, so it can be attached
-/// to engine::BatchOptions::cache and transparently memoize
-/// solve_one()/solve_all() calls.
+/// Served solves (SolveService::handle()) and snapshot loads are the
+/// only writers.  Analysis fan-outs and sessions solve around the cache,
+/// so a request that derives thousands of scenarios cannot evict the
+/// models other clients are being served from.
 ///
 /// Exact-bytes aliases.  A canonical hit pays for parsing the model
 /// text, hashing it, the isomorphism deep check, and (in the API layer)
@@ -93,7 +94,7 @@ void remap_witnesses(const AttackTree& from, const AttackTree& to,
                      const std::vector<NodeId>& iso,
                      engine::SolveResult* result);
 
-class ResultCache final : public engine::SolveCache {
+class ResultCache {
  public:
   struct Config {
     std::size_t shards = 8;              ///< mutex stripes; >= 1
@@ -183,12 +184,6 @@ class ResultCache final : public engine::SolveCache {
   void attach_exact(const CacheKey& key, const std::string& text,
                     const engine::SolveResult& served,
                     std::vector<std::string> witnesses);
-
-  // -- engine::SolveCache hook (computes the hash per call). -------------
-
-  bool lookup(const engine::Instance& in, engine::SolveResult* out) override;
-  void store(const engine::Instance& in,
-             const engine::SolveResult& result) override;
 
   Stats stats() const;
   void clear();

@@ -1,7 +1,6 @@
 #include "service/canon.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -9,14 +8,6 @@
 
 namespace atcd::service {
 namespace {
-
-using atcd::service::mix64;
-
-/// Decorations are compared bit-exactly; -0.0 is normalized so it hashes
-/// like 0.0 (the two compare equal).
-std::uint64_t double_bits(double d) {
-  return std::bit_cast<std::uint64_t>(d == 0.0 ? 0.0 : d);
-}
 
 /// Borrowed view of a decorated model of either kind.
 struct View {
@@ -233,6 +224,64 @@ std::vector<NodeId> canonical_isomorphism(const CdAt& a, const CdAt& b) {
 std::vector<NodeId> canonical_isomorphism(const CdpAt& a, const CdpAt& b) {
   return iso_view(View{a.tree, a.cost, a.damage, &a.prob},
                   View{b.tree, b.cost, b.damage, &b.prob});
+}
+
+// ---------------------------------------------------------------------------
+// Merkle fingerprints of treelike models.
+// ---------------------------------------------------------------------------
+
+std::uint64_t treelike_fingerprint(const AttackTree& tree,
+                                   const std::vector<double>& cost,
+                                   const std::vector<double>& damage,
+                                   const std::vector<double>* prob) {
+  std::vector<std::uint64_t> node_hash;
+  std::vector<char> node_valid;
+  return treelike_fingerprint_update(tree, cost, damage, prob, &node_hash,
+                                     &node_valid);
+}
+
+std::uint64_t treelike_fingerprint_update(
+    const AttackTree& tree, const std::vector<double>& cost,
+    const std::vector<double>& damage, const std::vector<double>* prob,
+    std::vector<std::uint64_t>* node_hash, std::vector<char>* node_valid) {
+  if (!tree.finalized() || !tree.is_treelike()) return 0;
+  const std::size_t n = tree.node_count();
+  if (node_hash->size() != n || node_valid->size() != n) {
+    node_hash->assign(n, 0);
+    node_valid->assign(n, 0);
+  }
+  std::vector<std::uint64_t>& h = *node_hash;
+  std::vector<std::uint64_t> buf;
+  for (NodeId v : tree.topological_order()) {
+    if ((*node_valid)[v]) continue;
+    const auto& node = tree.node(v);
+    if (node.type == NodeType::BAS) {
+      h[v] = merkle_bas_hash(cost[node.bas_index], damage[v],
+                             prob ? (*prob)[node.bas_index] : 1.0);
+    } else {
+      buf.clear();
+      for (NodeId c : node.children) buf.push_back(h[c]);
+      std::sort(buf.begin(), buf.end());
+      std::uint64_t g =
+          merkle_gate_seed(node.type, damage[v], node.children.size());
+      for (std::uint64_t ch : buf) g = mix64(g, ch);
+      h[v] = g;
+    }
+    (*node_valid)[v] = 1;
+  }
+  return h[tree.root()];
+}
+
+CanonHash model_fingerprint(const CdAt& m) {
+  return m.tree.is_treelike()
+             ? treelike_fingerprint(m.tree, m.cost, m.damage, nullptr)
+             : canonical_hash(m);
+}
+
+CanonHash model_fingerprint(const CdpAt& m) {
+  return m.tree.is_treelike()
+             ? treelike_fingerprint(m.tree, m.cost, m.damage, &m.prob)
+             : canonical_hash(m);
 }
 
 }  // namespace atcd::service

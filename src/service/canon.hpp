@@ -24,6 +24,11 @@
 /// different models.  It may return false for isomorphic models with very
 /// large automorphism groups once the budget is exhausted — that costs a
 /// cache miss, never a wrong answer.
+///
+/// model_fingerprint() is the hash the serving layer actually keys on —
+/// the result cache, the router's shard pick, one-shot and session
+/// responses: a Merkle fingerprint for treelike models (an order of
+/// magnitude cheaper than WL refinement) and canonical_hash() for DAGs.
 
 #include <cstdint>
 #include <vector>
@@ -67,5 +72,37 @@ bool equal_canonical(const CdpAt& a, const CdpAt& b);
 /// indexings of two isomorphic submissions of the same model.
 std::vector<NodeId> canonical_isomorphism(const CdAt& a, const CdAt& b);
 std::vector<NodeId> canonical_isomorphism(const CdpAt& a, const CdpAt& b);
+
+/// Merkle fingerprint of a finalized *treelike* decorated model.
+/// Invariant under renaming and child reordering (children fold in
+/// sorted-hash order) and sensitive to all decorations.  Returns 0 for
+/// non-treelike models.  \p prob null means deterministic, hashed as
+/// all-ones (mirroring the bottom-up embedding) — unlike
+/// canonical_hash(), which tells the two kinds apart.
+std::uint64_t treelike_fingerprint(const AttackTree& tree,
+                                   const std::vector<double>& cost,
+                                   const std::vector<double>& damage,
+                                   const std::vector<double>* prob);
+
+/// Incremental treelike_fingerprint(): \p node_hash / \p node_valid
+/// persist across calls (resized here on first use or structural
+/// change), and only nodes with a cleared validity bit are rehashed.
+/// The caller must clear the bit of every node whose decorations (or
+/// descendants) changed *and of all its ancestors* — exactly the
+/// root-path walk session edits already do for the front memo.  Returns
+/// the root hash, identical to treelike_fingerprint() on the same model.
+std::uint64_t treelike_fingerprint_update(
+    const AttackTree& tree, const std::vector<double>& cost,
+    const std::vector<double>& damage, const std::vector<double>* prob,
+    std::vector<std::uint64_t>* node_hash, std::vector<char>* node_valid);
+
+/// The model fingerprint used uniformly across the serving layer, so a
+/// response's "hash" field identifies a model consistently no matter
+/// which path served it: treelike_fingerprint() for treelike models,
+/// canonical_hash() for DAGs.  Both are isomorphism-invariant; consumers
+/// that need exactness still deep-check with equal_canonical() (the
+/// result cache does).
+CanonHash model_fingerprint(const CdAt& m);
+CanonHash model_fingerprint(const CdpAt& m);
 
 }  // namespace atcd::service

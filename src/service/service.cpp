@@ -78,7 +78,6 @@ engine::SolveResult SolveService::solve(const Request& request) {
   in.bound = request.bound;
   in.backend = request.engine_name;
   engine::BatchOptions opt = options_.batch;
-  opt.cache = nullptr;  // the service layers its own cache + coalescing
   opt.subtree = nullptr;  // subtree fronts live only as long as this sweep
   return engine::solve_one(in, opt);
 }

@@ -23,6 +23,10 @@
 /// snapshot tooling and callers that bind it explicitly; no request path
 /// reads or writes it.
 ///
+/// handle() is the result cache's only writer on the request path: the
+/// API's analyses and sessions solve around it, so their derived
+/// scenarios never evict a served model.
+///
 /// handle() is thread-safe; a SolveService is meant to be shared by all
 /// connection/worker threads of a server (examples/atcd_server.cpp).
 
@@ -83,7 +87,7 @@ class SolveService {
     bool enable_cache = true;  ///< false: every request solves (benchmarks)
     /// Sizes subtree_cache().  No request path binds that cache: a
     /// solve keeps its subtree fronts for its own sweep only, a session
-    /// in its private memo, an analysis in a cache of its own.
+    /// in its private memo, and an analysis binds no cache at all.
     SubtreeCache::Config subtree;
     /// Instrument home for the whole serving stack: the service's own
     /// latency histogram plus both caches' counters land here (the

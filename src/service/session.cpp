@@ -152,7 +152,6 @@ void Session::init(AttackTree tree, std::vector<double> cost,
   const std::size_t n = this->tree().node_count();
   memo_valid_.assign(n, 0);
   memo_soa_.assign(n, {});
-  portion_valid_.assign(n, 0);
   fp_hash_.assign(n, 0);
   fp_valid_.assign(n, 0);
   hash_dirty_ = true;
@@ -190,7 +189,6 @@ void Session::mark_dirty(NodeId v) {
     const NodeId u = stack.back();
     stack.pop_back();
     memo_valid_[u] = 0;
-    portion_valid_[u] = 0;
     fp_valid_[u] = 0;
     for (NodeId p : tree().parents(u))
       if (!dirty_seen_[p]) {
@@ -416,7 +414,6 @@ std::string Session::replace_subtree(const std::string& node,
   const std::size_t n = tree().node_count();
   memo_valid_.assign(n, 0);
   memo_soa_.assign(n, {});
-  portion_valid_.assign(n, 0);
   fp_hash_.assign(n, 0);
   fp_valid_.assign(n, 0);
   hash_dirty_ = true;
@@ -468,14 +465,12 @@ Response Session::resolve_locked() {
   in.backend = options_.engine_name;
 
   engine::BatchOptions opt = options_.batch;
-  opt.cache = nullptr;  // the per-subtree memo chain subsumes it here
   MemoAdapter private_memo(*this);
   ChainedSubtreeMemo chain(&private_memo, options_.shared);
   opt.subtree = &chain;
 
   const MemoStats before = memo_stats_;
   resp.result = engine::solve_one(in, opt);
-  if (options_.shared && !tree().is_treelike()) populate_shared_portions();
   ++resolves_;
   // Mirror this resolve's memo activity into the registry and the
   // active trace (if any) as one batched delta per counter.
@@ -492,106 +487,6 @@ Response Session::resolve_locked() {
   obs::trace_fact("session_memo_stores", d_stores);
   resp.micros = detail::micros_since(t0);
   return resp;
-}
-
-void Session::populate_shared_portions() {
-  const AttackTree& t = tree();
-  const std::size_t n = t.node_count();
-  // excl[v]: every strict descendant of v has exactly one parent, so the
-  // region below v is a tree owned exclusively through v — exactly the
-  // precondition replace_subtree checks, and the shape whose bottom-up
-  // front is a pure function of the region (cacheable across models).
-  std::vector<char> excl(n, 0);
-  std::vector<std::size_t> leaves(n, 0);
-  for (NodeId v : t.topological_order()) {
-    if (t.is_bas(v)) {
-      excl[v] = 1;
-      leaves[v] = 1;
-      continue;
-    }
-    excl[v] = 1;
-    for (NodeId c : t.children(v)) {
-      if (!excl[c] || t.parents(c).size() != 1) excl[v] = 0;
-      leaves[v] += leaves[c];  // only read when excl[v] (else over-counts)
-    }
-  }
-  // A portion whose front blows up would stall the resolve; the sweep is
-  // capped at a leaf count far beyond any portion worth sharing.
-  constexpr std::size_t kMaxPortionLeaves = 128;
-  const std::vector<double>& host_cost = det_ ? det_->cost : prob_->cost;
-  const std::vector<double>& host_damage =
-      det_ ? det_->damage : prob_->damage;
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    if (!excl[v] || t.is_bas(v)) continue;
-    if (leaves[v] < 2 || leaves[v] > kMaxPortionLeaves) continue;
-    // Maximality: a single-parent node inside an exclusive parent's
-    // portion is covered by that parent's sweep — but only when the
-    // parent is itself sweepable (within the leaf cap); under an
-    // over-cap parent, this node is the largest portion that actually
-    // gets cached.  (A multi-parent node is never inside a portion:
-    // its parents all fail the exclusivity test.)
-    if (t.parents(v).size() == 1 && excl[t.parents(v)[0]] &&
-        leaves[t.parents(v)[0]] <= kMaxPortionLeaves)
-      continue;
-    // Unedited since the last sweep: nothing new to offer (mark_dirty
-    // clears this along every edited root-path).
-    if (portion_valid_[v]) continue;
-    try {
-      // Extract the portion as a standalone model; the cache keys
-      // canonically, so the extracted ids don't matter.
-      std::vector<char> in_region(n, 0);
-      std::vector<NodeId> stack{v};
-      in_region[v] = 1;
-      while (!stack.empty()) {
-        const NodeId u = stack.back();
-        stack.pop_back();
-        for (NodeId c : t.children(u))
-          if (!in_region[c]) {
-            in_region[c] = 1;
-            stack.push_back(c);
-          }
-      }
-      AttackTree sub;
-      std::vector<double> s_cost, s_damage, s_prob;
-      std::vector<NodeId> map(n, kNoNode);
-      for (NodeId u : t.topological_order()) {
-        if (!in_region[u]) continue;
-        if (t.is_bas(u)) {
-          map[u] = sub.add_bas(t.name(u));
-          s_cost.push_back(host_cost[t.bas_index(u)]);
-          s_prob.push_back(probabilistic_ ? prob_->prob[t.bas_index(u)]
-                                          : 1.0);
-        } else {
-          std::vector<NodeId> cs;
-          cs.reserve(t.children(u).size());
-          for (NodeId c : t.children(u)) cs.push_back(map[c]);
-          map[u] = sub.add_gate(t.type(u), t.name(u), std::move(cs));
-        }
-        s_damage.push_back(host_damage[u]);
-      }
-      sub.set_root(map[v]);
-      sub.finalize();
-      const auto vis =
-          options_.shared->bind(sub, s_cost, s_damage,
-                                probabilistic_ ? &s_prob : nullptr,
-                                memo_budget());
-      if (!vis) continue;
-      // A cached root front (e.g. another session populated it) means
-      // the whole portion is covered — skip the sweep.
-      TripleView cached;
-      if (!vis->lookup(map[v], &cached)) {
-        atcd::detail::BottomUpOptions bopt;
-        bopt.budget = memo_budget();
-        bopt.visitor = vis.get();
-        atcd::detail::bottom_up_root_front(sub, s_cost, s_damage, s_prob,
-                                           bopt);
-      }
-      portion_valid_[v] = 1;
-    } catch (const std::exception&) {
-      // Population is best-effort; a portion the sweep rejects (or that
-      // exceeds a backend guard) just stays uncached.
-    }
-  }
 }
 
 std::uint64_t Session::edit_count() const {

@@ -19,10 +19,9 @@
 ///  * Optionally, a SubtreeCache (Options::shared): fronts computed by
 ///    this session become reusable by whoever else binds that cache —
 ///    and after a structural edit, unchanged subtrees can be *re*-covered
-///    from it by canonical hash even though their NodeIds moved.  The
-///    analysis sweep passes its request's own cache; sessions opened
-///    through the API pass none and keep only the private memo, so a
-///    session's fronts are freed when it closes.
+///    from it by canonical hash even though their NodeIds moved.  No
+///    served path sets it: API sessions and analysis sweeps keep only
+///    the private memo, so a session's fronts are freed when it closes.
 ///
 /// Both layers implement the arena sweep's memo protocol
 /// (detail::SubtreeVisitor: one lookup and one store over SoA views).
@@ -37,11 +36,9 @@
 /// engine choice) lands on an incremental-capable backend
 /// (engine::Capabilities::incremental — bottom-up on treelike models);
 /// otherwise resolve() transparently falls back to a full solve, so
-/// sessions work on every model class the engines support.  The full-
-/// solve fallback still feeds Options::shared when one is set: the
-/// model's maximal exclusively-owned treelike portions are swept into
-/// it, so treelike solves sharing those subtrees reuse this session's
-/// work even though its own backend cannot.
+/// sessions work on every model class the engines support.  The
+/// fallback's backend binds no memo, so it neither reads nor feeds
+/// either layer.
 ///
 /// Responses hand out the current model snapshot by shared pointer;
 /// the first edit after a snapshot left the session copy-on-writes the
@@ -73,8 +70,8 @@ class Session {
     engine::Problem problem = engine::Problem::Cdpf;
     double bound = 0.0;        ///< budget/threshold; ignored by the fronts
     std::string engine_name;   ///< explicit engine; "" = planner's choice
-    /// Registry/policy for the solve path; its cache/subtree hooks are
-    /// ignored (the session supplies its own memo chain).
+    /// Registry/policy for the solve path; its subtree hook is ignored
+    /// (the session supplies its own memo chain).
     engine::BatchOptions batch;
     /// Optional subtree cache layered under the private memo: fronts
     /// computed here become visible to everyone else bound to it, and
@@ -169,15 +166,6 @@ class Session {
   void ensure_unique();
   /// Invalidates the memo for \p v and every (transitive) parent.
   void mark_dirty(NodeId v);
-  /// DAG-fallback cache population: a non-treelike model routes to a
-  /// non-incremental backend that never touches the memo chain, which
-  /// would leave the shared SubtreeCache cold even though the model's
-  /// exclusively-owned treelike portions have perfectly cacheable
-  /// fronts.  This sweeps each maximal such portion bottom-up through
-  /// the shared cache (skipping portions whose root front is already
-  /// cached), so treelike models and other sessions sharing those
-  /// subtrees still reuse this session's work.
-  void populate_shared_portions();
   /// The budget-class the chosen problem's sweep prunes with.
   double memo_budget() const;
   Response resolve_locked();
@@ -208,12 +196,6 @@ class Session {
   std::vector<char> memo_valid_;
   std::vector<TripleBuf> memo_soa_;
   std::vector<char> dirty_seen_;  ///< scratch for mark_dirty's walk
-  /// DAG fallback only: portion roots already swept into the shared
-  /// cache and unedited since (cleared by mark_dirty like the memo), so
-  /// warm resolves skip even the extraction.  A shared-cache eviction
-  /// can outlive this marker; the portion is then re-offered on the
-  /// session's next edit under it.
-  std::vector<char> portion_valid_;
   MemoStats memo_stats_;
   /// Registry mirrors of memo_stats_ (Options::metrics); fed by delta
   /// once per resolve rather than per memo probe — the memo lookups run

@@ -5,12 +5,10 @@
 #include <cstdio>
 
 #include "obs/trace.hpp"
-#include "service/canon.hpp"
 #include "service/hash_mix.hpp"
 
 namespace atcd::service {
 namespace {
-
 
 void append_hex(std::string& out, std::uint64_t v) {
   // Manual hex: signature materialization appends hundreds of these per
@@ -31,93 +29,7 @@ std::size_t front_bytes(const std::vector<AttrTriple>& front) {
   return b;
 }
 
-// Merkle subtree hashing, shared by the binding and the standalone
-// fingerprint: a BAS hashes its decorations, a gate folds its damage,
-// arity, and child hashes in sorted order (so child permutations and
-// renames don't matter).
-std::uint64_t bas_hash(double cost, double damage, double prob) {
-  std::uint64_t h = mix64(0xBA5E5ull, double_bits(cost));
-  h = mix64(h, double_bits(damage));
-  return mix64(h, double_bits(prob));
-}
-
-std::uint64_t gate_hash_seed(NodeType type, double damage,
-                             std::size_t arity) {
-  std::uint64_t h =
-      mix64(type == NodeType::AND ? 0xA17Dull : 0x0Bull, double_bits(damage));
-  return mix64(h, arity);
-}
-
 }  // namespace
-
-std::uint64_t treelike_fingerprint(const AttackTree& tree,
-                                   const std::vector<double>& cost,
-                                   const std::vector<double>& damage,
-                                   const std::vector<double>* prob) {
-  if (!tree.finalized() || !tree.is_treelike()) return 0;
-  std::vector<std::uint64_t> h(tree.node_count());
-  std::vector<std::uint64_t> buf;
-  for (NodeId v : tree.topological_order()) {
-    const auto& node = tree.node(v);
-    if (node.type == NodeType::BAS) {
-      h[v] = bas_hash(cost[node.bas_index], damage[v],
-                      prob ? (*prob)[node.bas_index] : 1.0);
-      continue;
-    }
-    buf.clear();
-    for (NodeId c : node.children) buf.push_back(h[c]);
-    std::sort(buf.begin(), buf.end());
-    std::uint64_t g = gate_hash_seed(node.type, damage[v],
-                                     node.children.size());
-    for (std::uint64_t ch : buf) g = mix64(g, ch);
-    h[v] = g;
-  }
-  return h[tree.root()];
-}
-
-std::uint64_t treelike_fingerprint_update(
-    const AttackTree& tree, const std::vector<double>& cost,
-    const std::vector<double>& damage, const std::vector<double>* prob,
-    std::vector<std::uint64_t>* node_hash, std::vector<char>* node_valid) {
-  if (!tree.finalized() || !tree.is_treelike()) return 0;
-  const std::size_t n = tree.node_count();
-  if (node_hash->size() != n || node_valid->size() != n) {
-    node_hash->assign(n, 0);
-    node_valid->assign(n, 0);
-  }
-  std::vector<std::uint64_t>& h = *node_hash;
-  std::vector<std::uint64_t> buf;
-  for (NodeId v : tree.topological_order()) {
-    if ((*node_valid)[v]) continue;
-    const auto& node = tree.node(v);
-    if (node.type == NodeType::BAS) {
-      h[v] = bas_hash(cost[node.bas_index], damage[v],
-                      prob ? (*prob)[node.bas_index] : 1.0);
-    } else {
-      buf.clear();
-      for (NodeId c : node.children) buf.push_back(h[c]);
-      std::sort(buf.begin(), buf.end());
-      std::uint64_t g =
-          gate_hash_seed(node.type, damage[v], node.children.size());
-      for (std::uint64_t ch : buf) g = mix64(g, ch);
-      h[v] = g;
-    }
-    (*node_valid)[v] = 1;
-  }
-  return h[tree.root()];
-}
-
-std::uint64_t model_fingerprint(const CdAt& m) {
-  return m.tree.is_treelike()
-             ? treelike_fingerprint(m.tree, m.cost, m.damage, nullptr)
-             : canonical_hash(m);
-}
-
-std::uint64_t model_fingerprint(const CdpAt& m) {
-  return m.tree.is_treelike()
-             ? treelike_fingerprint(m.tree, m.cost, m.damage, &m.prob)
-             : canonical_hash(m);
-}
 
 // ---------------------------------------------------------------------------
 // Binding: the per-solve visitor translating between the host model's
@@ -158,7 +70,7 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
         // The deterministic sweep runs with implicit p = 1 (the paper's
         // embedding); spell it out so CdAt and all-ones CdpAt subtrees
         // share entries.
-        hash_[v] = bas_hash(cost[node.bas_index], damage[v],
+        hash_[v] = merkle_bas_hash(cost[node.bas_index], damage[v],
                             prob ? (*prob)[node.bas_index] : 1.0);
         count_[v] = 1;
       } else {
@@ -168,7 +80,7 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
                     return hash_[a] != hash_[b] ? hash_[a] < hash_[b] : a < b;
                   });
         std::uint64_t h =
-            gate_hash_seed(node.type, damage[v], node.children.size());
+            merkle_gate_seed(node.type, damage[v], node.children.size());
         std::size_t cnt = 0;
         for (NodeId c : order_[v]) {
           h = mix64(h, hash_[c]);

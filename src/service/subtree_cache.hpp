@@ -31,19 +31,17 @@
 /// each other, so a translated witness evaluates to exactly the cached
 /// (cost, damage, activation) values in its new host.
 ///
-/// Unlike ResultCache, entries retain only the signature string and the
-/// local fronts — never the model — so enabling both caches on one
-/// BatchOptions counts every byte exactly once (each cache accounts its
-/// own storage; tests/test_subtree_cache.cpp asserts the additivity).
+/// Entries retain only the signature string and the local fronts, never
+/// the model.  The keys are treelike_fingerprint()'s Merkle hashes
+/// (canon.hpp); the hashing steps live in hash_mix.hpp.
 ///
-/// Lifetime.  No served request binds a service-wide instance: on served
-/// traffic one hit 1-5% of lookups and slowed every cold solve, and a
-/// binding materializes the full signature of every subtree it stores,
-/// O(n x depth) bytes per solve on a deep chain.  The API dispatcher
-/// gives each analysis request a cache of its own, so that one job's
-/// scenarios share subtree fronts and free them with the response.
-/// SolveService::subtree_cache() and the snapshot section remain for
-/// tooling that binds a cache explicitly.
+/// Lifetime.  No served request binds an instance — not a solve, a
+/// session, or an analysis: on served traffic the cache hit 1-5% of
+/// lookups and slowed every cold solve, and a binding materializes the
+/// full signature of every subtree it stores, O(n x depth) bytes per
+/// solve on a deep chain.  SolveService::subtree_cache(), the snapshot
+/// section and Session::Options::shared remain for tooling that binds a
+/// cache explicitly.
 
 #include <cstdint>
 #include <functional>
@@ -58,40 +56,6 @@
 #include "obs/metrics.hpp"
 
 namespace atcd::service {
-
-/// Merkle fingerprint of a finalized *treelike* decorated model — the
-/// hash the subtree cache keys the model's root entry on.  Invariant
-/// under renaming and child reordering (children fold in sorted-hash
-/// order) and sensitive to all decorations; an order of magnitude
-/// cheaper than canon.hpp's WL canonical_hash, which handles DAGs.
-/// Returns 0 for non-treelike models.  \p prob null means deterministic
-/// (hashed as all-ones, mirroring the bottom-up embedding).
-std::uint64_t treelike_fingerprint(const AttackTree& tree,
-                                   const std::vector<double>& cost,
-                                   const std::vector<double>& damage,
-                                   const std::vector<double>* prob);
-
-/// Incremental treelike_fingerprint(): \p node_hash / \p node_valid
-/// persist across calls (resized here on first use or structural
-/// change), and only nodes with a cleared validity bit are rehashed.
-/// The caller must clear the bit of every node whose decorations (or
-/// descendants) changed *and of all its ancestors* — exactly the
-/// root-path walk session edits already do for the front memo.  Returns
-/// the root hash, identical to treelike_fingerprint() on the same model.
-std::uint64_t treelike_fingerprint_update(
-    const AttackTree& tree, const std::vector<double>& cost,
-    const std::vector<double>& damage, const std::vector<double>* prob,
-    std::vector<std::uint64_t>* node_hash, std::vector<char>* node_valid);
-
-/// The model fingerprint used uniformly across the serving layer — by
-/// the result-cache key, one-shot responses, and session responses — so
-/// a response's "hash" field identifies a model consistently no matter
-/// which path served it: the Merkle fingerprint for treelike models
-/// (fast path), canon.hpp's WL canonical_hash for DAGs.  Both are
-/// isomorphism-invariant; consumers that need exactness still deep-check
-/// with equal_canonical() (the cache does).
-std::uint64_t model_fingerprint(const CdAt& m);
-std::uint64_t model_fingerprint(const CdpAt& m);
 
 /// Thread-safe, sharded, byte- and entry-budgeted subtree front cache.
 /// Implements engine::SubtreeMemo, so it attaches directly to

@@ -290,8 +290,6 @@ TEST(Sweep, DagModelsFallBackAndMatchScratch) {
   const std::string leaf = dag.tree.name(dag.tree.bas_id(0));
   analysis::Options opt;
   opt.problem = Problem::Cdpf;
-  service::SubtreeCache shared;
-  opt.shared = &shared;
   const auto r = analysis::sweep(
       dag, {Axis::linspace(Attribute::Cost, leaf, 1.0, 4.0, 4)}, opt);
   EXPECT_FALSE(r.incremental);
@@ -498,7 +496,7 @@ TEST(Portfolio, GuardsTheExhaustiveCap) {
 
 // ---------------------------------------------------------------------------
 // Determinism: same inputs yield byte-identical tables on any thread
-// count, with or without the shared subtree cache warm.
+// count.
 // ---------------------------------------------------------------------------
 
 TEST(Analysis, TablesAreByteIdenticalAcrossThreadCounts) {
@@ -509,10 +507,8 @@ TEST(Analysis, TablesAreByteIdenticalAcrossThreadCounts) {
 
   std::vector<std::string> sweep_tables, sens_tables, pf_tables;
   for (const std::size_t threads : {1u, 4u, 8u}) {
-    service::SubtreeCache shared;  // fresh per run; reused within it
     analysis::Options opt;
     opt.batch.threads = threads;
-    opt.shared = &shared;
 
     opt.problem = Problem::Dgc;
     opt.bound = 4.0;
@@ -532,20 +528,6 @@ TEST(Analysis, TablesAreByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(sens_tables[i], sens_tables[0]);
     EXPECT_EQ(pf_tables[i], pf_tables[0]);
   }
-  // And rerunning against the now-warm shared cache of the last round
-  // must not change a byte either (cached fronts are value-identical).
-  service::SubtreeCache shared;
-  analysis::Options opt;
-  opt.shared = &shared;
-  opt.problem = Problem::Dgc;
-  opt.bound = 4.0;
-  const std::vector<analysis::Axis> axes{
-      analysis::Axis::linspace(Attribute::Cost, "pick", 0.0, 5.0, 6),
-      analysis::Axis::toggle("drill")};
-  const std::string cold = analysis::to_table(analysis::sweep(det, axes, opt));
-  const std::string warm = analysis::to_table(analysis::sweep(det, axes, opt));
-  EXPECT_EQ(cold, sweep_tables[0]);
-  EXPECT_EQ(warm, cold);
 }
 
 }  // namespace

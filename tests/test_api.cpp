@@ -1050,10 +1050,9 @@ TEST(Stats, DispatcherCountersCoverEveryPath) {
   EXPECT_EQ(s.api.session_closes, 1u);
   EXPECT_EQ(s.api.analyses, 1u);
   EXPECT_EQ(s.api.errors, 1u);
-  // The drift fix: the portfolio's derived solves ran against the
-  // service result cache, so the cache counters reflect analysis work
-  // (the old protocol bypassed them entirely).
-  EXPECT_GT(s.cache.insertions, 1u);
+  // The result cache counts served solves only: the one successful
+  // solve inserted, and the portfolio's derived solves bound no cache.
+  EXPECT_EQ(s.cache.insertions, 1u);
 
   // The same numbers survive the wire.
   r.op = StatsRequest{};
@@ -1064,6 +1063,56 @@ TEST(Stats, DispatcherCountersCoverEveryPath) {
   const auto& p = std::get<StatsPayload>(dec.value.payload);
   EXPECT_EQ(p.api.requests, 8u);  // + the stats request itself
   EXPECT_EQ(p.api.analyses, 1u);
+}
+
+// An analysis fans out into many derived scenarios; none of them may
+// land in the served result cache, or one request could evict every
+// model other clients are being served from.
+TEST(Stats, AnalysesLeaveTheServedResultCacheAlone) {
+  Dispatcher::Options opt;
+  opt.service.cache.shards = 1;
+  opt.service.cache.max_entries = 16;
+  Dispatcher d(std::move(opt));
+  const auto served = [](int k) {
+    return "bas a cost=" + std::to_string(k) +
+           " damage=2\nbas b cost=4 damage=1\nor r = a, b damage=10\n";
+  };
+  const auto solve = [&](int k) {
+    Request r;
+    r.op = SolveRequest{{engine::Problem::Dgc, 5.0, true, "", served(k)}};
+    return d.dispatch(r);
+  };
+  for (int k = 1; k <= 8; ++k) ASSERT_EQ(solve(k).code, ErrorCode::Ok);
+  ASSERT_EQ(d.stats().cache.entries, 8u);
+  const std::uint64_t insertions = d.stats().cache.insertions;
+
+  // 5 defenses, no defender budget: all 32 subsets are scored, each on
+  // a distinct hardened model.
+  const std::string target =
+      "bas a cost=1 damage=2\nbas b cost=2 damage=3\nbas c cost=3 "
+      "damage=4\nbas e cost=4 damage=5\nbas f cost=5 damage=6\n"
+      "or r = a, b, c, e, f damage=10\n";
+  AnalyzePortfolioRequest pf;
+  pf.problem = engine::Problem::Dgc;
+  pf.defenses = {"d1:1:a", "d2:1:b", "d3:1:c", "d4:1:e", "d5:1:f"};
+  pf.bound = 6.0;
+  pf.has_bound = true;
+  pf.model = target;
+  Request analyze;
+  analyze.op = pf;
+  const Response scored = d.dispatch(analyze);
+  ASSERT_EQ(scored.code, ErrorCode::Ok) << scored.error;
+  const std::string& table = std::get<AnalysisPayload>(scored.payload).table;
+  EXPECT_NE(table.find(" evaluated=32 "), std::string::npos) << table;
+  EXPECT_EQ(d.stats().cache.insertions, insertions);
+
+  for (int k = 1; k <= 8; ++k) {
+    const Response again = solve(k);
+    ASSERT_EQ(again.code, ErrorCode::Ok);
+    EXPECT_EQ(std::get<SolvePayload>(again.payload).cache, "hit")
+        << "model " << k;
+  }
+  EXPECT_EQ(d.stats().cache.evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <variant>
 
+#include "analysis/analysis.hpp"
 #include "api/dispatcher.hpp"
 #include "at/dot.hpp"
 #include "at/parser.hpp"
@@ -142,9 +143,10 @@ std::string tree_chain(int gates) {
 
 TEST(Integration, DeepTreeChainCostsWhatItsBytesCost) {
   // A DgC with budget 1 on a 2,500-gate chain (a ~149 KB request).  Per-
-  // node fronts are tiny, so the solve and the session must stay within
-  // a few MB; memoizing every subtree's front with a per-subtree leaf map
-  // grows with n x depth and takes hundreds of MB here.
+  // node fronts are tiny, so the solve, the session and the analyses
+  // must stay within a few MB; memoizing every subtree's front with a
+  // per-subtree leaf map or signature grows with n x depth and takes
+  // hundreds of MB here.
   api::SolveSpec spec;
   spec.problem = engine::Problem::Dgc;
   spec.bound = 1.0;
@@ -170,12 +172,38 @@ TEST(Integration, DeepTreeChainCostsWhatItsBytesCost) {
   ASSERT_EQ(resolved.code, api::ErrorCode::Ok) << resolved.error;
   const auto& again = std::get<api::SolvePayload>(resolved.payload);
 
+  // b1 costs 2 in the chain, so the sweep's middle point is the model
+  // as solved above.
+  api::Request sweep;
+  sweep.op = api::AnalyzeSweepRequest{
+      spec.problem, {"cost:b1:1:3:3"}, spec.bound, true, "", spec.model};
+  const api::Response swept = d.dispatch(sweep);
+  ASSERT_EQ(swept.code, api::ErrorCode::Ok) << swept.error;
+  api::AnalyzePortfolioRequest pf;
+  pf.problem = spec.problem;
+  pf.defenses = {"lock:1:b1", "patch:2:b2"};
+  pf.bound = spec.bound;
+  pf.has_bound = true;
+  pf.model = spec.model;
+  api::Request portfolio;
+  portfolio.op = pf;
+  const api::Response scored = d.dispatch(portfolio);
+  ASSERT_EQ(scored.code, api::ErrorCode::Ok) << scored.error;
+
   EXPECT_LT(peak_rss_kb() - before, 64 * 1024) << "peak RSS rose (KB)";
   ASSERT_TRUE(attack.feasible);
   EXPECT_EQ(again.feasible, attack.feasible);
   EXPECT_EQ(again.cost, attack.cost);
   EXPECT_EQ(again.damage, attack.damage);
   EXPECT_EQ(again.attack, attack.attack);
+  const std::string& rows = std::get<api::AnalysisPayload>(swept.payload).table;
+  EXPECT_NE(rows.find("\n2\ttrue\t" + analysis::format_num(attack.cost) +
+                      "\t" + analysis::format_num(attack.damage) + "\n"),
+            std::string::npos)
+      << rows;
+  const std::string& scores =
+      std::get<api::AnalysisPayload>(scored.payload).table;
+  EXPECT_NE(scores.find(" evaluated=4 "), std::string::npos) << scores;
 }
 
 }  // namespace

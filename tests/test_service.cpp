@@ -307,28 +307,6 @@ TEST(Cache, ForcedHashCollisionNeverServesTheWrongResult) {
   EXPECT_EQ(ra->backend, "model-a-result");
 }
 
-TEST(Cache, EngineHookMemoizesSolveOne) {
-  const CdAt factory = casestudies::make_factory();
-  ResultCache cache;
-  engine::BatchOptions opt;
-  opt.cache = &cache;
-  const engine::Instance in = engine::Instance::of(Problem::Cdpf, factory);
-
-  const auto cold = engine::solve_one(in, opt);
-  ASSERT_TRUE(cold.ok);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  const auto warm = engine::solve_one(in, opt);
-  ASSERT_TRUE(warm.ok);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_TRUE(warm.front.same_values(cold.front));
-
-  // solve_all with repeated instances also flows through the hook.
-  std::vector<engine::Instance> batch(4, in);
-  const auto rs = engine::solve_all(batch, opt);
-  for (const auto& r : rs) EXPECT_TRUE(r.ok);
-  EXPECT_GE(cache.stats().hits, 4u);
-}
-
 // ---------------------------------------------------------------------------
 // SolveService.
 // ---------------------------------------------------------------------------

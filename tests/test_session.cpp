@@ -208,57 +208,6 @@ TEST(Session, DagModelsFallBackToFullSolves) {
   EXPECT_TRUE(s.resolve().result.ok);
 }
 
-TEST(Session, DagResolvePopulatesSharedCacheForTreelikePortions) {
-  // A DAG whose shared gate sits beside an exclusively-owned treelike
-  // portion (sub = AND(a, b)): the full-solve fallback must still sweep
-  // that portion into the shared cache, so treelike models containing
-  // an isomorphic subtree reuse it.
-  const char* dag_model =
-      "bas a cost=1 damage=2\n"
-      "bas b cost=4 damage=1\n"
-      "bas s cost=2 damage=3\n"
-      "and sub = a, b damage=5\n"
-      "or g1 = sub, s damage=1\n"
-      "and g2 = g1, s damage=2\n"  // s shared: g1 and g2 -> DAG
-      "or top = g1, g2 damage=10\n";
-  SubtreeCache shared;
-  Session::Options o = opts(Problem::Cdpf);
-  o.shared = &shared;
-  Session s(dag_model, o);
-  ASSERT_FALSE(s.snapshot_det()->tree.is_treelike());
-  ASSERT_TRUE(s.resolve().result.ok);
-  const auto cold = shared.stats();
-  EXPECT_GT(cold.insertions, 0u);
-
-  // Warm resolves skip the portion sweep via the root-front lookup, so
-  // the cache gains no new entries.
-  ASSERT_TRUE(s.resolve().result.ok);
-  EXPECT_EQ(shared.stats().insertions, cold.insertions);
-
-  // A *treelike* one-shot solve containing the isomorphic portion
-  // (renamed, children permuted) hits the session-populated entries.
-  const ParsedModel host = parse_model(
-      "bas y cost=4 damage=1\n"
-      "bas x cost=1 damage=2\n"
-      "bas z cost=7 damage=0\n"
-      "and mirror = y, x damage=5\n"
-      "or root = mirror, z damage=3\n");
-  const CdAt host_model{host.tree, host.cost, host.damage};
-  engine::BatchOptions bopt;
-  bopt.subtree = &shared;
-  const auto r = engine::solve_one(
-      engine::Instance::of(Problem::Cdpf, host_model), bopt);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_GT(shared.stats().hits, cold.hits);
-
-  // And the fronts stay correct: the cached-portion solve equals a
-  // cacheless scratch solve.
-  const auto scratch_r =
-      engine::solve_one(engine::Instance::of(Problem::Cdpf, host_model));
-  ASSERT_TRUE(scratch_r.ok);
-  EXPECT_TRUE(fronts_equal(r.front, scratch_r.front));
-}
-
 // ---------------------------------------------------------------------------
 // Incremental-vs-scratch equivalence: random edit scripts over random
 // models; after every edit the session's re-solve must equal a fresh

@@ -1,7 +1,6 @@
 /// Tests for service/subtree_cache.hpp: cross-model subtree reuse,
-/// budget keying, LRU/byte budgets, and the byte-accounting independence
-/// of the subtree cache and the whole-model result cache when both are
-/// enabled on one BatchOptions.
+/// budget keying, LRU/byte budgets, and memoized-equals-unmemoized
+/// fronts.
 
 #include "service/subtree_cache.hpp"
 
@@ -10,7 +9,6 @@
 #include "at/parser.hpp"
 #include "core/enumerative.hpp"
 #include "helpers.hpp"
-#include "service/cache.hpp"
 #include "util/rng.hpp"
 
 namespace atcd {
@@ -19,7 +17,6 @@ namespace {
 using engine::BatchOptions;
 using engine::Instance;
 using engine::Problem;
-using service::ResultCache;
 using service::SubtreeCache;
 using testing::fronts_equal;
 
@@ -186,55 +183,6 @@ TEST(SubtreeCache, ClearResetsResidency) {
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
-}
-
-/// The double-count guard: SubtreeCache entries retain only signatures
-/// and local fronts, ResultCache entries retain models and results —
-/// enabling both on one BatchOptions must account every byte exactly
-/// once, i.e. each cache's byte counter equals what it reports when
-/// enabled alone, and a whole-model hit must not re-run (or re-store)
-/// the subtree path.
-TEST(SubtreeCache, NoDoubleCountingWithResultCache) {
-  Rng rng(21);
-  std::vector<CdAt> models;
-  for (int i = 0; i < 6; ++i)
-    models.push_back(testing::random_cdat(rng, 9, /*treelike=*/true));
-
-  const auto run = [&](ResultCache* rc, SubtreeCache* sc) {
-    BatchOptions opt;
-    opt.cache = rc;
-    opt.subtree = sc;
-    for (const CdAt& m : models) {
-      const auto r = engine::solve_one(Instance::of(Problem::Cdpf, m), opt);
-      ASSERT_TRUE(r.ok) << r.error;
-    }
-  };
-
-  ResultCache rc_alone, rc_both;
-  SubtreeCache sc_alone, sc_both;
-  run(&rc_alone, nullptr);
-  run(nullptr, &sc_alone);
-  run(&rc_both, &sc_both);
-
-  // Byte/entry accounting is independent: enabling the other cache does
-  // not inflate (or deflate) either counter.
-  EXPECT_EQ(rc_both.stats().bytes, rc_alone.stats().bytes);
-  EXPECT_EQ(rc_both.stats().entries, rc_alone.stats().entries);
-  EXPECT_EQ(sc_both.stats().bytes, sc_alone.stats().bytes);
-  EXPECT_EQ(sc_both.stats().insertions, sc_alone.stats().insertions);
-
-  // A whole-model result-cache hit short-circuits before the subtree
-  // memo is bound: replaying the same workload adds result-cache hits
-  // but leaves the subtree counters untouched.
-  const auto sc_before = sc_both.stats();
-  const auto rc_hits_before = rc_both.stats().hits;
-  run(&rc_both, &sc_both);
-  EXPECT_EQ(rc_both.stats().hits, rc_hits_before + models.size());
-  const auto sc_after = sc_both.stats();
-  EXPECT_EQ(sc_after.hits, sc_before.hits);
-  EXPECT_EQ(sc_after.misses, sc_before.misses);
-  EXPECT_EQ(sc_after.insertions, sc_before.insertions);
-  EXPECT_EQ(sc_after.bytes, sc_before.bytes);
 }
 
 /// Memoized solves must be bit-compatible with unmemoized ones across

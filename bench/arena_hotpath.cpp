@@ -15,8 +15,13 @@
 ///   * cdpf: unbudgeted full fronts — the cross-product/prune kernels
 ///     dominate; reported to show the win in the compute-bound regime.
 ///
-/// Every timed pair is checked for byte-identical fronts; a bench that
-/// drifts from correctness is measuring nothing.
+/// The cgd(L=0.4·D) rows time CgD at 40% of the maximum damage D, both
+/// on the arena sweep: read off the full CDPF front, against the pruned
+/// sweep that keeps only attacks no dearer than a greedy feasible one
+/// (cgd_bottom_up).  Their speedup is full-front time over pruned time.
+///
+/// Every timed pair is checked for byte-identical fronts (or answers); a
+/// bench that drifts from correctness is measuring nothing.
 ///
 /// Usage: bench_arena_hotpath [--rounds N] [--smoke | --full]
 ///                            [--json <path>]
@@ -27,6 +32,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "core/bottom_up.hpp"
 #include "core/bottom_up_core.hpp"
 #include "core/cdat.hpp"
 #include "util/rng.hpp"
@@ -71,6 +77,18 @@ struct Case {
   std::vector<int> depths;
 };
 
+bool same_answer(const OptAttack& a, const OptAttack& b) {
+  return a.feasible == b.feasible && a.cost == b.cost &&
+         a.damage == b.damage && a.witness == b.witness;
+}
+
+OptAttack full_front_cgd(const CdAt& m, double threshold) {
+  const Front2d f = cdpf_bottom_up(m);
+  const FrontPoint* p = f.min_cost_with_damage(threshold);
+  if (!p) return {};
+  return OptAttack{true, p->value.cost, p->value.damage, p->witness};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,17 +102,22 @@ int main(int argc, char** argv) {
   // The gate depth stays in every mode — a smoke run that skips the gate
   // would let nightly CI go green on a regressed hot path.
   std::vector<Case> cases;
+  std::vector<int> cgd_depths;
   if (smoke) {
     cases = {{15.0, "dgc(U=15)", {8, 12}}, {kNoBudget, "cdpf", {8}}};
+    cgd_depths = {8};
   } else if (full) {
     cases = {{15.0, "dgc(U=15)", {8, 10, 12, 14}},
              {kNoBudget, "cdpf", {6, 8, 10}}};
+    cgd_depths = {6, 8, 10};
   } else {
     cases = {{15.0, "dgc(U=15)", {8, 10, 12}}, {kNoBudget, "cdpf", {6, 8, 10}}};
+    cgd_depths = {6, 8, 10};
   }
 
   std::printf(
-      "arena_hotpath: arena/SoA stack machine vs recursive pointer sweep\n"
+      "arena_hotpath: arena/SoA stack machine vs recursive pointer sweep,\n"
+      "and full-front vs pruned CgD on the arena sweep\n"
       "(complete binary trees, %zu rounds per point; times are mean "
       "microseconds per solve)\n\n",
       rounds);
@@ -166,6 +189,45 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+
+  const char* cgd_label = "cgd(L=0.4·D)";
+  std::printf("%-13s %3s %8s %14s %14s %9s\n", cgd_label, "depth", "nodes",
+              "full(us)", "pruned(us)", "speedup");
+  for (const int depth : cgd_depths) {
+    Rng rng(0xA7E7Aull * 131 + static_cast<std::uint64_t>(depth));
+    const CdAt m = complete_binary_model(rng, depth);
+    const Front2d front = cdpf_bottom_up(m);
+    const double l = 0.4 * front[front.size() - 1].value.damage;
+    if (!same_answer(cgd_bottom_up(m, l), full_front_cgd(m, l))) {
+      std::fprintf(stderr, "MISMATCH: pruned CgD != full-front CgD "
+                           "(depth %d)\n", depth);
+      return 1;
+    }
+    std::vector<double> full_rounds_s, pruned_rounds_s;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      OptAttack out;
+      full_rounds_s.push_back(
+          bench::time_once([&] { out = full_front_cgd(m, l); }));
+      pruned_rounds_s.push_back(
+          bench::time_once([&] { out = cgd_bottom_up(m, l); }));
+    }
+    const bench::Stats full_stats = bench::stats_of(full_rounds_s);
+    const bench::Stats pruned_stats = bench::stats_of(pruned_rounds_s);
+    const double speedup = bench::median_of(full_rounds_s) /
+                           bench::median_of(pruned_rounds_s);
+    std::printf("%-13s %3d %8zu %14.1f %14.1f %8.2fx\n", "", depth,
+                m.tree.node_count(), full_stats.mean * 1e6,
+                pruned_stats.mean * 1e6, speedup);
+    report.add(std::string(cgd_label) + "/depth" + std::to_string(depth),
+               {{"nodes", double(m.tree.node_count())},
+                {"full_us", full_stats.mean * 1e6},
+                {"pruned_us", pruned_stats.mean * 1e6},
+                {"speedup", speedup},
+                {"p50_us", pruned_stats.p50_us},
+                {"p95_us", pruned_stats.p95_us},
+                {"p99_us", pruned_stats.p99_us}});
+  }
+  std::printf("\n");
 
   const bool pass = gate_seen && gate_ok;
   std::printf(

@@ -1,6 +1,10 @@
 #include "core/bottom_up.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/bottom_up_prob.hpp"
+#include "obs/trace.hpp"
 
 namespace atcd {
 namespace detail {
@@ -96,6 +100,111 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
   return bottom_up_root_front_arena(tree, cost, damage, prob, opt);
 }
 
+namespace {
+
+/// The greedy's state: every node's activation probability under the
+/// BASs picked so far (0/1 on deterministic models).
+struct Activation {
+  const AttackTree& tree;
+  const std::vector<double>& damage;
+  std::vector<double> act;
+
+  /// Gate u's activation if its child c had activation pc.
+  double gate_act(NodeId u, NodeId c, double pc) const {
+    const bool is_and = tree.type(u) == NodeType::AND;
+    double q = 1.0;
+    for (const NodeId k : tree.children(u)) {
+      const double pk = k == c ? pc : act[k];
+      q *= is_and ? pk : 1.0 - pk;
+    }
+    return is_and ? q : 1.0 - q;
+  }
+
+  /// The damage gained by setting node v's activation to p, walking up
+  /// while activations change; with \p commit the new state is kept.
+  double raise(NodeId v, double p, bool commit) {
+    double gain = 0.0;
+    for (;;) {
+      if (p == act[v]) break;
+      gain += damage[v] * (p - act[v]);
+      const auto& ps = tree.parents(v);
+      const double up = ps.empty() ? 0.0 : gate_act(ps[0], v, p);
+      if (commit) act[v] = p;
+      if (ps.empty()) break;
+      v = ps[0];
+      p = up;
+    }
+    return gain;
+  }
+};
+
+}  // namespace
+
+double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
+                  const std::vector<double>& damage,
+                  const std::vector<double>& prob, double threshold) {
+  if (std::isnan(threshold)) return kNoBudget;
+  if (threshold <= 0.0) return 0.0;  // the empty attack
+  Activation g{tree, damage, std::vector<double>(tree.node_count(), 0.0)};
+  double reached = 0.0;
+  struct Cand {
+    double ratio;  ///< marginal damage per cost when last evaluated
+    std::uint32_t bas;
+  };
+  std::vector<Cand> heap;
+  for (std::uint32_t i = 0; i < tree.bas_count(); ++i) {
+    if (!(prob[i] > 0.0)) continue;
+    if (cost[i] == 0.0)  // free: taking it never raises the bound
+      reached += g.raise(tree.bas_id(i), prob[i], true);
+    else
+      heap.push_back({0.0, i});
+  }
+  if (reached >= threshold) return 0.0;
+  // Best ratio first; ties go to the cheaper, then the lower BAS index.
+  const auto worse = [&](const Cand& a, const Cand& b) {
+    if (a.ratio != b.ratio) return a.ratio < b.ratio;
+    if (cost[a.bas] != cost[b.bas]) return cost[a.bas] > cost[b.bas];
+    return a.bas > b.bas;
+  };
+  const auto ratio = [&](std::uint32_t i) {
+    return g.raise(tree.bas_id(i), prob[i], false) / cost[i];
+  };
+  for (Cand& c : heap) c.ratio = ratio(c.bas);
+  std::make_heap(heap.begin(), heap.end(), worse);
+  // Lazy greedy: a popped candidate whose re-evaluated ratio still ranks
+  // first is taken; otherwise it goes back with its current ratio.
+  std::vector<std::uint32_t> taken;
+  while (reached < threshold && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    Cand c = heap.back();
+    heap.pop_back();
+    c.ratio = ratio(c.bas);
+    if (!heap.empty() && worse(c, heap.front())) {
+      heap.push_back(c);
+      std::push_heap(heap.begin(), heap.end(), worse);
+      continue;
+    }
+    reached += g.raise(tree.bas_id(c.bas), prob[c.bas], true);
+    taken.push_back(c.bas);
+  }
+  if (reached < threshold) return kNoBudget;
+  // Drop what the threshold no longer needs, dearest first.
+  std::sort(taken.begin(), taken.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return cost[a] > cost[b];
+  });
+  double spent = 0.0;
+  for (const std::uint32_t i : taken) {
+    const double loss = g.raise(tree.bas_id(i), 0.0, false);
+    if (reached + loss >= threshold)
+      reached += g.raise(tree.bas_id(i), 0.0, true);
+    else
+      spent += cost[i];
+  }
+  // The sweep sums the same costs in another order; the slack keeps
+  // this attack inside the bound whatever that order rounds to.
+  return spent + spent * 1e-9;
+}
+
 }  // namespace detail
 
 namespace {
@@ -128,6 +237,42 @@ std::vector<double> unit_probs(const AttackTree& t) {
   return std::vector<double>(t.bas_count(), 1.0);
 }
 
+/// CgD/CgED (eq. (2)) on the front of the attacks costing at most
+/// \p budget.  Every such attack keeps its point, witness and order
+/// (only cheaper-or-equal points can dominate it), so whenever that
+/// front reaches \p threshold its cheapest such point is the full
+/// front's.  When it does not — a budget below the optimum — the sweep
+/// re-runs unpruned, so the answer is exact whatever the budget.
+OptAttack cheapest_reaching(const AttackTree& tree,
+                            const std::vector<double>& cost,
+                            const std::vector<double>& damage,
+                            const std::vector<double>& prob,
+                            double threshold, double budget,
+                            detail::SubtreeVisitor* visitor) {
+  const auto answer = [&](double u, detail::SubtreeVisitor* vis) {
+    detail::BottomUpOptions opt;
+    opt.budget = u;
+    opt.visitor = vis;
+    return from_front_point(
+        project_front(
+            detail::bottom_up_root_front(tree, cost, damage, prob, opt))
+            .min_cost_with_damage(threshold));
+  };
+  OptAttack r = answer(budget, visitor);
+  // The visitor is bound to the pruned budget class: re-sweep without it.
+  const bool rerun = !r.feasible && budget != kNoBudget;
+  if (rerun) r = answer(kNoBudget, nullptr);
+  if (obs::Trace* tr = obs::current_trace()) {
+    double total = 0.0;
+    for (const double c : cost) total += c;
+    const double share = budget < total ? budget / total : 1.0;
+    tr->fact("cgd_prune_bound_ppm",
+             static_cast<std::uint64_t>(std::llround(share * 1e6)));
+    tr->fact("cgd_full_rerun", rerun ? 1 : 0);
+  }
+  return r;
+}
+
 }  // namespace
 
 Front2d cdpf_bottom_up(const CdAt& m, detail::SubtreeVisitor* visitor) {
@@ -148,10 +293,21 @@ OptAttack dgc_bottom_up(const CdAt& m, double budget,
                                                   unit_probs(m.tree), opt));
 }
 
-OptAttack cgd_bottom_up(const CdAt& m, double threshold,
+double cgd_prune_budget(const CdAt& m, double threshold) {
+  m.validate();
+  return detail::cost_bound(m.tree, m.cost, m.damage, unit_probs(m.tree),
+                            threshold);
+}
+
+OptAttack cgd_bottom_up(const CdAt& m, double threshold) {
+  return cgd_bottom_up(m, threshold, cgd_prune_budget(m, threshold));
+}
+
+OptAttack cgd_bottom_up(const CdAt& m, double threshold, double budget,
                         detail::SubtreeVisitor* visitor) {
-  return from_front_point(
-      cdpf_bottom_up(m, visitor).min_cost_with_damage(threshold));
+  m.validate();
+  return cheapest_reaching(m.tree, m.cost, m.damage, unit_probs(m.tree),
+                           threshold, budget, visitor);
 }
 
 Front2d cedpf_bottom_up(const CdpAt& m, detail::SubtreeVisitor* visitor) {
@@ -172,10 +328,20 @@ OptAttack edgc_bottom_up(const CdpAt& m, double budget,
       detail::bottom_up_root_front(m.tree, m.cost, m.damage, m.prob, opt));
 }
 
-OptAttack cged_bottom_up(const CdpAt& m, double threshold,
+double cged_prune_budget(const CdpAt& m, double threshold) {
+  m.validate();
+  return detail::cost_bound(m.tree, m.cost, m.damage, m.prob, threshold);
+}
+
+OptAttack cged_bottom_up(const CdpAt& m, double threshold) {
+  return cged_bottom_up(m, threshold, cged_prune_budget(m, threshold));
+}
+
+OptAttack cged_bottom_up(const CdpAt& m, double threshold, double budget,
                          detail::SubtreeVisitor* visitor) {
-  return from_front_point(
-      cedpf_bottom_up(m, visitor).min_cost_with_damage(threshold));
+  m.validate();
+  return cheapest_reaching(m.tree, m.cost, m.damage, m.prob, threshold,
+                           budget, visitor);
 }
 
 }  // namespace atcd

@@ -34,11 +34,21 @@ Front2d cdpf_bottom_up(const CdAt& m,
 OptAttack dgc_bottom_up(const CdAt& m, double budget,
                         detail::SubtreeVisitor* visitor = nullptr);
 
-/// CgD for treelike deterministic models: needs the complete front —
-/// under-threshold attacks cannot be discarded early (Sec. VI-B/C) — so
-/// this computes CDPF and applies eq. (2).  \p visitor, if any, must be
-/// bound with budget kNoBudget (the shared entries are exactly CDPF's).
-OptAttack cgd_bottom_up(const CdAt& m, double threshold,
+/// The budget a CgD(threshold) sweep prunes with: the cost of a cheap
+/// feasible attack (detail::cost_bound), kNoBudget if none reaches it.
+double cgd_prune_budget(const CdAt& m, double threshold);
+
+/// CgD for treelike deterministic models (eq. (2)).  Under-threshold
+/// attacks cannot be discarded early (Sec. VI-B/C), but over-cost ones
+/// can: any feasible attack's cost C bounds the optimum, and costs only
+/// grow up the tree.  So the sweep prunes with min_U at U = C (Thm 3),
+/// which keeps exactly the CDPF points costing at most C, and reads the
+/// answer off that front.  The answer is the full front's whatever C
+/// is: a front that does not reach the threshold is re-swept unpruned.
+/// The two-argument form takes C = cgd_prune_budget(m, threshold);
+/// \p visitor, if any, must be bound with \p budget.
+OptAttack cgd_bottom_up(const CdAt& m, double threshold);
+OptAttack cgd_bottom_up(const CdAt& m, double threshold, double budget,
                         detail::SubtreeVisitor* visitor = nullptr);
 
 }  // namespace atcd

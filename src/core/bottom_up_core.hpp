@@ -88,6 +88,19 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
                                              const std::vector<double>& prob,
                                              const BottomUpOptions& opt = {});
 
+/// An upper bound on the cheapest attack whose (expected) damage reaches
+/// \p threshold: the cost of the attack a greedy picks — free BASs
+/// first, then by marginal damage per cost, then dropping the dearest
+/// picks the threshold does not need — plus a relative 1e-9 slack for
+/// summation order.  Marginal damages are evaluated incrementally:
+/// taking a BAS walks up only while activations change.  0 when
+/// threshold <= 0; kNoBudget when no attack reaches it (or it is NaN).
+/// Any attack's cost bounds the CgD/CgED optimum, so a sweep pruned at
+/// this budget (min_U, Thm 3) still holds the answer.
+double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
+                  const std::vector<double>& damage,
+                  const std::vector<double>& prob, double threshold);
+
 /// The arena/SoA hot path behind bottom_up_root_front() (the default
 /// unless an option forces the pointer sweep): flattens the tree into a
 /// post-order arena and runs a non-recursive stack machine over SoA

@@ -27,9 +27,17 @@ Front2d cedpf_bottom_up(const CdpAt& m,
 OptAttack edgc_bottom_up(const CdpAt& m, double budget,
                          detail::SubtreeVisitor* visitor = nullptr);
 
-/// CgED for treelike probabilistic models, via the full front.
-/// \p visitor, if any, must be bound with budget kNoBudget.
-OptAttack cged_bottom_up(const CdpAt& m, double threshold,
+/// The budget a CgED(threshold) sweep prunes with (detail::cost_bound
+/// over expected damages), kNoBudget if no attack reaches it.
+double cged_prune_budget(const CdpAt& m, double threshold);
+
+/// CgED for treelike probabilistic models: the CEDPF points costing at
+/// most the budget, as for cgd_bottom_up(), re-swept unpruned when they
+/// do not reach the threshold.  The two-argument form takes the budget
+/// from cged_prune_budget(); \p visitor, if any, must be bound with
+/// \p budget.
+OptAttack cged_bottom_up(const CdpAt& m, double threshold);
+OptAttack cged_bottom_up(const CdpAt& m, double threshold, double budget,
                          detail::SubtreeVisitor* visitor = nullptr);
 
 }  // namespace atcd

@@ -14,6 +14,7 @@
 ///   * additive models only (zero damage on internal nodes).
 
 #include <memory>
+#include <utility>
 
 #include "bdd/at_bdd.hpp"
 #include "core/bilp_method.hpp"
@@ -69,8 +70,12 @@ class EnumerativeBackend final : public Backend {
 };
 
 /// Binds the memo to the exact budget-class each sweep prunes with —
-/// kNoBudget for the front problems and CgD/CgED (which run the
-/// budgetless CDPF/CEDPF sweep), the budget for DgC/EDgC.
+/// kNoBudget for the front problems, the budget for DgC/EDgC, and for
+/// CgD/CgED the cost C of a cheap feasible attack: those sweep only the
+/// attacks costing at most C (cgd_bottom_up).  A memo whose class is
+/// fixed at kNoBudget (a CgD/CgED session's own) refuses C; such a solve
+/// keeps the full-front sweep and its memo hits.  A session chained with
+/// a shared cache binds the shared layer alone at C.
 class BottomUpBackend final : public Backend {
  public:
   const char* name() const override { return "bottom-up"; }
@@ -93,8 +98,8 @@ class BottomUpBackend final : public Backend {
   }
   OptAttack cgd(const CdAt& m, double l,
                 const SolveContext& ctx) const override {
-    const auto vis = bind(ctx, m, kNoBudget);
-    return cgd_bottom_up(m, l, vis.get());
+    const auto [budget, vis] = bind_pruned(ctx, m, cgd_prune_budget(m, l));
+    return cgd_bottom_up(m, l, budget, vis.get());
   }
   Front2d cedpf(const CdpAt& m, const SolveContext& ctx) const override {
     const auto vis = bind(ctx, m, kNoBudget);
@@ -107,8 +112,8 @@ class BottomUpBackend final : public Backend {
   }
   OptAttack cged(const CdpAt& m, double l,
                  const SolveContext& ctx) const override {
-    const auto vis = bind(ctx, m, kNoBudget);
-    return cged_bottom_up(m, l, vis.get());
+    const auto [budget, vis] = bind_pruned(ctx, m, cged_prune_budget(m, l));
+    return cged_bottom_up(m, l, budget, vis.get());
   }
 
  private:
@@ -116,6 +121,19 @@ class BottomUpBackend final : public Backend {
   static std::unique_ptr<atcd::detail::SubtreeVisitor> bind(
       const SolveContext& ctx, const Model& m, double budget) {
     return ctx.subtree ? ctx.subtree->bind(m, budget) : nullptr;
+  }
+
+  /// The budget a CgD/CgED sweep runs with and the memo bound to it:
+  /// \p bound if the memo takes it (or there is none), else kNoBudget if
+  /// the memo takes that.
+  template <class Model>
+  static std::pair<double, std::unique_ptr<atcd::detail::SubtreeVisitor>>
+  bind_pruned(const SolveContext& ctx, const Model& m, double bound) {
+    if (!ctx.subtree) return {bound, nullptr};
+    if (auto vis = ctx.subtree->bind(m, bound)) return {bound, std::move(vis)};
+    if (auto vis = ctx.subtree->bind(m, kNoBudget))
+      return {kNoBudget, std::move(vis)};
+    return {bound, nullptr};
   }
 };
 

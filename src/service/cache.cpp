@@ -319,10 +319,14 @@ void ResultCache::attach_exact(const CacheKey& key, const std::string& text,
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) return;
   Entry& e = *it->second;
+  // A full entry makes room by dropping its oldest alias, so a spelling
+  // that keeps coming back (say, the original text after a burst of
+  // renamed ones) still gets one.
+  const bool full = e.aliases.size() >= kMaxAliasesPerEntry;
+  const std::size_t freed = full ? approx_bytes(*e.aliases.front()) : 0;
   // The entry must still hold the values the hit served: it may have
   // been evicted and re-solved since, with another optimal witness.
-  if (e.aliases.size() >= kMaxAliasesPerEntry ||
-      e.bytes + bytes > byte_budget_per_shard_ ||
+  if (e.bytes - freed + bytes > byte_budget_per_shard_ ||
       !same_values(*e.result, served))
     return;
   alias->result = e.result;
@@ -333,19 +337,27 @@ void ResultCache::attach_exact(const CacheKey& key, const std::string& text,
     // digest collision; either way the incumbent stays.
     if (!stripe.index.emplace(alias->hash, alias).second) return;
   }
+  if (full) {
+    unpublish(e.aliases.front());
+    e.aliases.erase(e.aliases.begin());
+    e.bytes -= freed;
+    shard.bytes -= freed;
+  }
   e.aliases.push_back(std::move(alias));
   e.bytes += bytes;
   shard.bytes += bytes;
   evict_to_budget(shard);
 }
 
+void ResultCache::unpublish(const std::shared_ptr<const ExactAlias>& a) {
+  AliasStripe& stripe = stripe_of(a->hash);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  const auto it = stripe.index.find(a->hash);
+  if (it != stripe.index.end() && it->second == a) stripe.index.erase(it);
+}
+
 void ResultCache::drop_aliases(const Entry& e) {
-  for (const auto& a : e.aliases) {
-    AliasStripe& stripe = stripe_of(a->hash);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto it = stripe.index.find(a->hash);
-    if (it != stripe.index.end() && it->second == a) stripe.index.erase(it);
-  }
+  for (const auto& a : e.aliases) unpublish(a);
 }
 
 void ResultCache::evict_to_budget(Shard& shard) {

@@ -122,9 +122,8 @@ class ResultCache {
     std::vector<std::string> witnesses;
   };
 
-  /// At most this many aliases per entry (a model resubmitted under
-  /// many spellings keeps the first few); later spellings stay on the
-  /// canonical path.
+  /// At most this many aliases per entry; attaching another replaces
+  /// the oldest.
   static constexpr std::size_t kMaxAliasesPerEntry = 8;
 
   struct Stats {
@@ -178,9 +177,9 @@ class ResultCache {
   /// Call only after a canonical hit on \p key for that text, with the
   /// result it \p served and that result's \p witnesses rendered in the
   /// text's BAS indexing.  A no-op when the entry is gone or no longer
-  /// holds the served values, already holds kMaxAliasesPerEntry aliases
-  /// or one for this text, or the alias would not fit the shard's byte
-  /// budget.
+  /// holds the served values, already holds one for this text, or the
+  /// alias would not fit the shard's byte budget.  An entry holding
+  /// kMaxAliasesPerEntry aliases drops its oldest to take this one.
   void attach_exact(const CacheKey& key, const std::string& text,
                     const engine::SolveResult& served,
                     std::vector<std::string> witnesses);
@@ -245,6 +244,9 @@ class ResultCache {
   /// Unpublishes \p e's aliases from the index.  Caller holds e's shard
   /// lock.
   void drop_aliases(const Entry& e);
+  /// Removes \p a from the index if it is still the published alias for
+  /// its hash.
+  void unpublish(const std::shared_ptr<const ExactAlias>& a);
   AliasStripe& stripe_of(std::uint64_t alias_hash) const;
 
   Config config_;

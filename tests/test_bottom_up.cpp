@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "at/transform.hpp"
 #include "casestudies/factory.hpp"
 #include "core/bottom_up_prob.hpp"
 #include "core/enumerative.hpp"
+#include "gen/random_at.hpp"
 #include "helpers.hpp"
+#include "obs/trace.hpp"
 
 namespace atcd {
 namespace {
@@ -246,6 +251,179 @@ TEST(BottomUpProb, CgedMatchesEnumeration) {
 TEST(BottomUpProb, InfeasibleThreshold) {
   const auto m = casestudies::make_factory_probabilistic();
   EXPECT_FALSE(cged_bottom_up(m, 1e6).feasible);
+}
+
+// ---------------------------------------------------------------------------
+// Pruned CgD/CgED: the sweep keeps only attacks no dearer than a feasible
+// one, and must answer exactly as the full front does.
+// ---------------------------------------------------------------------------
+
+/// Equal feasibility, bit-equal cost and damage, equal witness bits.
+::testing::AssertionResult same_answer(const OptAttack& got,
+                                       const OptAttack& want) {
+  if (got.feasible != want.feasible)
+    return ::testing::AssertionFailure()
+           << "feasible " << got.feasible << " vs " << want.feasible;
+  if (!want.feasible) return ::testing::AssertionSuccess();
+  if (std::memcmp(&got.cost, &want.cost, sizeof(double)) != 0 ||
+      std::memcmp(&got.damage, &want.damage, sizeof(double)) != 0)
+    return ::testing::AssertionFailure()
+           << "(" << got.cost << ", " << got.damage << ") vs ("
+           << want.cost << ", " << want.damage << ")";
+  if (got.witness != want.witness)
+    return ::testing::AssertionFailure() << "witness differs";
+  return ::testing::AssertionSuccess();
+}
+
+OptAttack full_front_answer(const Front2d& f, double threshold) {
+  const FrontPoint* p = f.min_cost_with_damage(threshold);
+  if (!p) return {};
+  return OptAttack{true, p->value.cost, p->value.damage, p->witness};
+}
+
+/// Decoration families: the paper's Sec. X ranges, a quarter of the BASs
+/// free, and decimal values whose sums round (0.1 + 0.2 != 0.3).
+CdpAt decorate(const AttackTree& t, int family, Rng& rng) {
+  CdpAt m = randomize_decorations(t, rng);
+  if (family == 1) {
+    for (auto& c : m.cost)
+      if (rng.chance(0.25)) c = 0.0;
+  } else if (family == 2) {
+    static const double kDecimals[] = {0.1, 0.2, 0.7};
+    for (auto& c : m.cost) c = kDecimals[rng.below(3)];
+    for (auto& d : m.damage) d = kDecimals[rng.below(3)];
+  }
+  return m;
+}
+
+/// The thresholds to probe on front \p f: its breakpoints (each point's
+/// damage d_i, where CgD(d_i) = c_i) — all of them, or \p limit evenly
+/// spaced ones plus the last on a larger front — then 0, a negative
+/// value, and just above the maximum damage (infeasible).
+std::vector<double> thresholds_of(const Front2d& f, std::size_t limit) {
+  std::vector<double> ls = {0.0, -1.0};
+  const std::size_t n = f.size();
+  const std::size_t step = n > limit ? (n + limit - 1) / limit : 1;
+  for (std::size_t i = 0; i < n; i += step) ls.push_back(f[i].value.damage);
+  const double top = n ? f[n - 1].value.damage : 0.0;
+  ls.push_back(top);
+  ls.push_back(std::nextafter(top, std::numeric_limits<double>::infinity()));
+  return ls;
+}
+
+std::uint64_t fact_of(const obs::Trace& t, const char* name) {
+  for (const auto& [k, v] : t.facts())
+    if (k == name) return v;
+  return 0;
+}
+
+/// One model's probes: the pruned answer at each threshold, and at the
+/// middle breakpoint with half the optimum's cost as the budget (so the
+/// pruned front misses the threshold and the unpruned re-sweep answers),
+/// against the full front's.  Counts the probes and the re-sweeps the
+/// greedy bound caused.
+template <class Model, class Solve>
+void expect_pruned_equals_full(const Model& m, const Front2d& f,
+                               std::size_t limit, Solve solve,
+                               const char* what, std::size_t* probes,
+                               std::size_t* reruns) {
+  for (const double l : thresholds_of(f, limit)) {
+    ++*probes;
+    obs::Trace t;
+    {
+      obs::TraceActivation on(&t);
+      EXPECT_TRUE(same_answer(solve(m, l, -1.0), full_front_answer(f, l)))
+          << what << ", L = " << l;
+    }
+    *reruns += fact_of(t, "cgd_full_rerun");
+  }
+  if (f.size() > 2) {
+    const FrontPoint& p = f[f.size() / 2];
+    obs::Trace t;
+    {
+      obs::TraceActivation on(&t);
+      EXPECT_TRUE(same_answer(solve(m, p.value.damage, p.value.cost / 2),
+                              full_front_answer(f, p.value.damage)))
+          << what << " with a small budget, L = " << p.value.damage;
+    }
+    EXPECT_EQ(fact_of(t, "cgd_full_rerun"), 1u) << what;
+  }
+}
+
+TEST(BottomUpPruned, CgdAndCgedEqualTheFullFrontAtItsBreakpoints) {
+  // Budget < 0 below asks for the greedy bound (the two-argument form).
+  const auto cgd = [](const CdAt& m, double l, double budget) {
+    return budget < 0 ? cgd_bottom_up(m, l) : cgd_bottom_up(m, l, budget);
+  };
+  const auto cged = [](const CdpAt& m, double l, double budget) {
+    return budget < 0 ? cged_bottom_up(m, l) : cged_bottom_up(m, l, budget);
+  };
+  gen::SuiteOptions opt;
+  opt.max_n = 250;
+  opt.per_size = 3;
+  opt.treelike = true;
+  Rng rng(0xC6D2);
+  std::size_t models = 0, probes = 0, reruns = 0;
+  for (const auto& e : gen::make_suite(opt, rng)) {
+    const std::size_t n = e.tree.node_count();
+    if (n < 30 || n > 250) continue;
+    const CdpAt pm = decorate(e.tree, static_cast<int>(models % 3), rng);
+    ++models;
+    // Every breakpoint up to 60 nodes; the fronts (and each sweep) grow
+    // fast with size, so larger models probe 8 of them.
+    const CdAt dm = pm.deterministic();
+    expect_pruned_equals_full(dm, cdpf_bottom_up(dm), n <= 60 ? SIZE_MAX : 8,
+                              cgd, "cgd", &probes, &reruns);
+    // CEDPF fronts are larger still (Example 10): models up to 90 nodes.
+    if (n <= 90)
+      expect_pruned_equals_full(pm, cedpf_bottom_up(pm),
+                                n <= 40 ? SIZE_MAX : 6, cged, "cged", &probes,
+                                &reruns);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GE(models, 500u);
+  // The greedy sums its attack's damage in another order than the sweep,
+  // so a bound can miss by an ulp (mostly just above the maximum damage,
+  // about 1% of probes here); the re-sweep covers it, and stays rare.
+  EXPECT_LE(reruns * 20, probes) << reruns << " of " << probes;
+}
+
+TEST(BottomUpPruned, ASmallBudgetReSweepsUnpruned) {
+  const auto m = casestudies::make_factory();
+  obs::Trace t;
+  {
+    obs::TraceActivation on(&t);
+    const auto r = cgd_bottom_up(m, 201.0, 1.0);  // the optimum costs 3
+    ASSERT_TRUE(r.feasible);
+    EXPECT_DOUBLE_EQ(r.cost, 3.0);
+  }
+  EXPECT_EQ(fact_of(t, "cgd_full_rerun"), 1u);
+  // The bound as a share of the total cost (1 + 2 + 3), in millionths.
+  EXPECT_EQ(fact_of(t, "cgd_prune_bound_ppm"), 166'667u);
+}
+
+TEST(BottomUpPruned, GreedyBoundIsAFeasibleAttacksCost) {
+  const auto m = casestudies::make_factory();
+  // L <= 0: the empty attack; above the maximum damage: none.
+  EXPECT_EQ(cgd_prune_budget(m, 0.0), 0.0);
+  EXPECT_EQ(cgd_prune_budget(m, -3.0), 0.0);
+  EXPECT_EQ(cgd_prune_budget(m, 311.0), kNoBudget);
+  Rng rng(41);
+  for (int it = 0; it < 40; ++it) {
+    const auto pm = atcd::testing::random_cdpat(rng, 9, /*treelike=*/true);
+    const auto dm = pm.deterministic();
+    const double dmax = dgc_enumerative(dm, kNoBudget).damage;
+    for (const double frac : {0.2, 0.5, 0.8, 1.0}) {
+      const double l = frac * dmax;
+      const double c = cgd_prune_budget(dm, l);
+      EXPECT_GE(c, cgd_enumerative(dm, l).cost) << l;
+      EXPECT_LE(c, (1 + 1e-9) * std::accumulate(dm.cost.begin(),
+                                                dm.cost.end(), 0.0));
+    }
+    const double emax = edgc_enumerative(pm, kNoBudget).damage;
+    EXPECT_GE(cged_prune_budget(pm, 0.7 * emax),
+              cged_enumerative(pm, 0.7 * emax).cost);
+  }
 }
 
 }  // namespace

@@ -644,15 +644,21 @@ TEST(ExactAlias, AttachRefusesStaleMissingAndSurplusAliases) {
   absent.bound = 9.0;
   cache.attach_exact(absent, kBase, st.hit.result, {"{a, b}"});
   EXPECT_FALSE(cache.lookup_exact(Problem::Dgc, 9.0, "", kBase));
-  // At most kMaxAliasesPerEntry spellings per entry.
+  // At most kMaxAliasesPerEntry spellings per entry: one more replaces
+  // the oldest, and its bytes go with it.
   const std::size_t cap = ResultCache::kMaxAliasesPerEntry;
-  for (std::size_t i = 0; i <= cap; ++i)
+  for (std::size_t i = 0; i < cap; ++i)
     cache.attach_exact(st.key, kBase + std::string(i, '\n'), st.hit.result,
                        {"{a, b}"});
+  const std::size_t full_bytes = cache.stats().bytes;
+  cache.attach_exact(st.key, kBase + std::string(cap, '\n'), st.hit.result,
+                     {"{a, b}"});
+  EXPECT_EQ(cache.stats().bytes, full_bytes + cap)
+      << "the replacement is cap bytes longer than the dropped alias";
   for (std::size_t i = 0; i <= cap; ++i)
     EXPECT_EQ(static_cast<bool>(cache.lookup_exact(
                   Problem::Dgc, 4.0, "", kBase + std::string(i, '\n'))),
-              i < cap)
+              i > 0)
         << i;
   // An alias larger than the shard's byte budget is not attached.
   ResultCache::Config small;
@@ -663,6 +669,40 @@ TEST(ExactAlias, AttachRefusesStaleMissingAndSurplusAliases) {
                                  {std::string(small.max_bytes, 'w')});
   EXPECT_FALSE(tight.svc.cache().lookup_exact(Problem::Dgc, 4.0, "", kBase));
   EXPECT_EQ(tight.svc.cache().stats().entries, 1u);
+}
+
+TEST(ExactAlias, TheOriginalSpellingGetsAnAliasAfterRenamedOnesFillTheCap) {
+  // A model first, then eight renamed spellings of it (each a canonical
+  // hit, each attaching an alias): the original's next canonical hit
+  // still attaches one, so its third submission is an exact hit.
+  obs::Registry reg;
+  api::Dispatcher::Options opt;
+  opt.metrics = &reg;
+  api::Dispatcher d(opt);
+  const auto solve = [&](const std::string& text) {
+    api::Request r;
+    r.op = api::SolveRequest{{Problem::Dgc, 4.0, true, "", text}};
+    const api::Response resp = d.dispatch(r);
+    EXPECT_EQ(resp.code, api::ErrorCode::Ok) << resp.error;
+    return std::get<api::SolvePayload>(resp.payload).cache;
+  };
+  const std::string original = kBase;
+  EXPECT_EQ(solve(original), "miss");
+  for (std::size_t i = 0; i < ResultCache::kMaxAliasesPerEntry; ++i) {
+    std::string renamed = original;
+    for (std::size_t at = 0; (at = renamed.find("root", at)) != std::string::npos;
+         at += 4)
+      renamed.replace(at, 4, "r" + std::to_string(i) + "t");
+    EXPECT_EQ(solve(renamed), "hit");
+  }
+  const auto exact = [&] {
+    return reg.counter("atcd_result_cache_exact_hits_total").value();
+  };
+  EXPECT_EQ(exact(), 0u);
+  EXPECT_EQ(solve(original), "hit");  // canonical: attaches its alias
+  EXPECT_EQ(exact(), 0u);
+  EXPECT_EQ(solve(original), "hit");
+  EXPECT_EQ(exact(), 1u) << "the original's third submission is exact";
 }
 
 TEST(ExactAlias, EvictionAndClearDropAliases) {

@@ -163,6 +163,32 @@ TEST(Session, IncrementalResolveReusesUneditedSubtrees) {
   EXPECT_GT(warm.hits, cold.hits);
 }
 
+TEST(Session, CgdSessionKeepsItsMemoAcrossEdits) {
+  // A served CgD solve sweeps only the attacks no dearer than a feasible
+  // one, but a CgD session's memo holds full fronts (kNoBudget), so its
+  // resolves keep the full-front sweep and reuse unedited subtrees.
+  Session s(kModel, opts(Problem::Cgd, 11.0));
+  ASSERT_TRUE(s.resolve().result.ok);
+  const auto cold = s.memo_stats();
+  EXPECT_GT(cold.stores, 0u);
+  ASSERT_EQ(s.set_cost("phish", 5.0), "");
+  const Response r = s.resolve();
+  ASSERT_TRUE(r.result.ok) << r.result.error;
+  EXPECT_GT(s.memo_stats().hits, cold.hits);
+  // Same answer as a memo-less (pruned) solve of the edited model.
+  engine::Instance in;
+  in.problem = Problem::Cgd;
+  const auto det = s.snapshot_det();
+  in.det = det.get();
+  in.bound = 11.0;
+  const engine::SolveResult fresh = engine::solve_one(in);
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+  EXPECT_EQ(r.result.attack.feasible, fresh.attack.feasible);
+  EXPECT_EQ(r.result.attack.cost, fresh.attack.cost);
+  EXPECT_EQ(r.result.attack.damage, fresh.attack.damage);
+  EXPECT_EQ(r.result.attack.witness, fresh.attack.witness);
+}
+
 TEST(Session, SharedCacheCrossesSessions) {
   SubtreeCache shared;
   Session::Options o = opts(Problem::Cdpf);

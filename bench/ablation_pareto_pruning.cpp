@@ -47,15 +47,14 @@ int main() {
 
   // End-to-end on the probabilistic panda sweep.
   const auto m = casestudies::make_panda();
-  detail::BottomUpOptions fast, slow;
+  detail::SweepAblation slow;
   slow.quadratic_prune = true;
   const double t_fast = time_once([&] {
-    (void)detail::bottom_up_root_front(m.tree, m.cost, m.damage, m.prob,
-                                       fast);
+    (void)detail::bottom_up_root_front(m.tree, m.cost, m.damage, m.prob);
   });
   const double t_slow = time_once([&] {
-    (void)detail::bottom_up_root_front(m.tree, m.cost, m.damage, m.prob,
-                                       slow);
+    (void)detail::bottom_up_root_front_reference(m.tree, m.cost, m.damage,
+                                                 m.prob, kNoBudget, slow);
   });
   std::printf("\nprobabilistic panda sweep (Thm 9): staircase %.5fs vs "
               "quadratic %.5fs (%.1fx)\n", t_fast, t_slow,

@@ -60,11 +60,11 @@ int main() {
         detail::bottom_up_root_front(m.tree, m.cost, m.damage, unit);
     t_sound += timer.seconds();
 
-    detail::BottomUpOptions naive_opt;
+    detail::SweepAblation naive_opt;
     naive_opt.ignore_activation = true;
     timer.restart();
-    const auto naive = detail::bottom_up_root_front(m.tree, m.cost,
-                                                    m.damage, unit, naive_opt);
+    const auto naive = detail::bottom_up_root_front_reference(
+        m.tree, m.cost, m.damage, unit, kNoBudget, naive_opt);
     t_naive += timer.seconds();
 
     double dmax_sound = 0, dmax_naive = 0;

@@ -2,7 +2,7 @@
 /// bottom-up sweep (identical results, byte for byte) run twice per
 /// model, once through the default arena stack machine
 /// (bottom_up_arena.cpp) and once through the recursive pointer-chasing
-/// sweep over AoS fronts (BottomUpOptions::pointer_path).
+/// reference sweep over AoS fronts (bottom_up_root_front_reference).
 ///
 /// Models are complete binary AND/OR trees with paper-range random
 /// decorations, the same family the incremental bench uses, in both
@@ -136,12 +136,10 @@ int main(int argc, char** argv) {
 
       detail::BottomUpOptions arena_opt;
       arena_opt.budget = c.budget;
-      detail::BottomUpOptions pointer_opt = arena_opt;
-      pointer_opt.pointer_path = true;
 
       // One untimed warm-up pair, also the equivalence check.
-      const auto ref = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
-                                                    prob, pointer_opt);
+      const auto ref = detail::bottom_up_root_front_reference(
+          m.tree, m.cost, m.damage, prob, c.budget);
       const auto got = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
                                                     prob, arena_opt);
       if (!same_front(ref, got)) {
@@ -155,8 +153,9 @@ int main(int argc, char** argv) {
       for (std::size_t round = 0; round < rounds; ++round) {
         std::vector<AttrTriple> out;
         pointer_rounds_s.push_back(bench::time_once([&] {
-          out = detail::bottom_up_root_front(m.tree, m.cost, m.damage, prob,
-                                             pointer_opt);
+          out = detail::bottom_up_root_front_reference(m.tree, m.cost,
+                                                       m.damage, prob,
+                                                       c.budget);
         }));
         arena_rounds_s.push_back(bench::time_once([&] {
           out = detail::bottom_up_root_front(m.tree, m.cost, m.damage, prob,

@@ -33,7 +33,7 @@
 ///
 /// Solve commands additionally accept:
 ///   --threads N   fan the batch (or the analysis scenarios) out on N
-///                 worker threads
+///                 worker threads (at most the host's cores)
 ///   --repeat K    submit the instance K times as one api batch
 ///                 request (exercises the service result cache and
 ///                 request coalescing; prints cache statistics)
@@ -94,7 +94,7 @@ int usage() {
                "  --engine <name>  solve with a specific backend "
                "(see the `engines` command)\n"
                "  --threads N      solve (or fan scenarios out) on N "
-               "worker threads\n"
+               "worker threads (at most the host's cores)\n"
                "  --repeat K       submit the instance K times as one "
                "batch through the\n"
                "                   service cache (prints cache "

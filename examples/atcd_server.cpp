@@ -57,8 +57,11 @@
 /// the full instrument registry at any time.
 ///
 /// --threads caps the worker threads for the scenario-analysis
-/// fan-outs and additionally sizes the pipelined dispatch pool; 0
-/// (default) = hardware concurrency for analyses, synchronous dispatch.
+/// fan-outs and for a `batch` request (whose own "threads" is clamped to
+/// it), and additionally sizes the pipelined dispatch pool; 0 (default)
+/// = hardware concurrency for analyses and batches, synchronous
+/// dispatch.  Analyses and batches never run on more threads than the
+/// host has cores.
 /// --timing adds per-response wall micros to responses (omitted by
 /// default so responses are byte-identical across runs and thread
 /// counts).
@@ -184,7 +187,10 @@ int usage() {
                "[--snapshot FILE] [--snapshot-interval-s N] "
                "[--router --shard host:port ...]\n"
                "Serves the solve API on stdin/stdout in the v1 JSON "
-               "envelope (pipelined when --threads > 1).  With --listen, a "
+               "envelope (pipelined when --threads > 1).  --threads also "
+               "caps the threads of analyses and of a batch request (0 = "
+               "hardware concurrency; never more than the host's cores).  "
+               "With --listen, a "
                "multi-client TCP (or, with --http, HTTP/1.1) server "
                "speaking the same envelope.  --snapshot FILE loads the "
                "cache snapshot on boot (if present) and saves it on "

@@ -3,18 +3,29 @@
 /// The paper's case study ends with advice ("security improvements should
 /// focus on internal leakage and the base station; after defenses are put
 /// in place, a new cost-damage analysis is needed").  This example
-/// automates that loop with the defense module: a countermeasure
+/// automates that loop with analysis::portfolio: a countermeasure
 /// catalogue for the panda IoT network, the defender's own Pareto front
-/// (defense budget vs residual attacker damage), and a greedy plan under
-/// a fixed security budget.
+/// (defense budget vs residual attacker damage), and the best portfolio
+/// under a fixed security budget.
 
 #include <cstdio>
+#include <limits>
 
+#include "analysis/portfolio.hpp"
 #include "casestudies/panda.hpp"
-#include "core/problems.hpp"
-#include "defense/defense.hpp"
 
 using namespace atcd;
+
+namespace {
+
+void print_portfolio(const analysis::PortfolioPoint& p) {
+  std::printf("%14g %18g  [", p.invest, p.residual);
+  for (std::size_t i = 0; i < p.selected.size(); ++i)
+    std::printf("%s%s", i ? ", " : "", p.selected[i].c_str());
+  std::printf("]\n");
+}
+
+}  // namespace
 
 int main() {
   const auto m = casestudies::make_panda().deterministic();
@@ -35,29 +46,20 @@ int main() {
   std::printf("catalogue: %zu countermeasures; attacker budget: 30\n\n",
               catalogue.size());
 
-  defense::DefenseOptions opt;
-  opt.attacker_budget = 30.0;
+  analysis::Options opt;
+  opt.bound = 30.0;  // the attacker budget of every residual DgC
 
   // The defender's Pareto front: cheapest portfolio per residual level.
   std::printf("Defense-cost vs residual-damage Pareto front:\n");
   std::printf("%14s %18s  %s\n", "defense cost", "residual damage",
               "portfolio");
-  for (const auto& p : defense::defense_front(m, catalogue, opt)) {
-    std::printf("%14g %18g  [", p.defense_cost, p.residual_damage);
-    for (std::size_t i = 0; i < p.portfolio.size(); ++i)
-      std::printf("%s%s", i ? ", " : "", p.portfolio[i].c_str());
-    std::printf("]\n");
-  }
+  const auto all = analysis::portfolio(
+      m, catalogue, std::numeric_limits<double>::infinity(), opt);
+  for (const auto& p : all.frontier) print_portfolio(p);
 
-  // Greedy planning under a fixed security budget.
-  std::printf("\nGreedy plan with defense budget 12:\n");
-  for (const auto& step : defense::greedy_defense(m, catalogue, 12.0, opt)) {
-    std::printf("  spend %4g -> residual %5g", step.defense_cost,
-                step.residual_damage);
-    if (!step.portfolio.empty())
-      std::printf("  (+ %s)", step.portfolio.back().c_str());
-    std::printf("\n");
-  }
+  // The best portfolio under a fixed security budget.
+  std::printf("\nBest portfolio with defense budget 12:\n");
+  print_portfolio(analysis::portfolio(m, catalogue, 12.0, opt).best);
 
   return 0;
 }

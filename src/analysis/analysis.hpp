@@ -17,14 +17,20 @@
 ///                       parameter, ranked by pareto/metrics.hpp's
 ///                       front-distance.
 ///   * portfolio.hpp   — optimal defense-subset selection under a
-///                       defender budget, with the residual solves
-///                       fanned out through engine::solve_all.
+///                       defender budget: the one defense search.
 ///
-/// All three are deterministic by construction: derived instances are
-/// solved independently (engine::solve_all is order-preserving and
-/// thread-count independent) and aggregation is a pure function of the
-/// results, so the rendered tables are byte-identical across thread
-/// counts (tests/test_analysis.cpp pins this).
+/// Sensitivity and portfolio run one scenario per job of the shared
+/// worker loop (util/parallel.hpp): the worker sets the scenario's
+/// parameters on its own working copy of the model, solves it, scores
+/// it, and restores the copy.  So an analysis holds at most one
+/// scenario per worker plus one score per scenario, never a model or a
+/// front per scenario.  Defenses harden BASs by the one rule of
+/// defense/defense.hpp, as sessions (and so sweeps) do.
+///
+/// All three are deterministic by construction: scenarios are solved
+/// independently and aggregation is a pure function of their scores,
+/// so the rendered tables are byte-identical across thread counts
+/// (tests/test_analysis.cpp pins this).
 ///
 /// No analysis binds a cache: scenarios share no subtree fronts and are
 /// never written to the service's result cache, so an analysis costs
@@ -89,19 +95,15 @@ std::optional<defense::Countermeasure> parse_countermeasure(
 /// per-scenario solve (sensitivity ignores them: it always compares the
 /// model's front problem; portfolio reads `bound` as the attacker
 /// budget of the residual DgC/EDgC).  `batch` carries the registry /
-/// policy / thread count for fan-outs.
+/// policy / thread count (util::worker_count) for the scenario loop.
 struct Options {
   engine::Problem problem = engine::Problem::Cdpf;
   double bound = 0.0;        ///< budget/threshold; ignored by the fronts
   std::string engine_name;   ///< explicit engine; "" = planner's choice
   engine::BatchOptions batch;
-  /// Hardening applied by Defense axes and portfolio selections.  The
-  /// cost factor is finite so every backend stays exact — including BILP
-  /// on hardened DAG models, whose simplex equilibrates rows and columns
-  /// (lp.cpp) and stays stable to factors of 1e9 and beyond.  1e6 dwarfs
-  /// every realistic attacker budget while keeping hardened-plus-base
-  /// cost sums well inside exact double range.
-  defense::HardeningSemantics hardening{1e6, 0.0};
+  /// Hardening applied by Defense axes and portfolio selections
+  /// (defense.hpp's rule and default factors).
+  defense::HardeningSemantics hardening;
   /// Sensitivity's relative finite-difference step: costs and damages
   /// are scaled by (1 + step), probabilities by 1 / (1 + step).
   double sensitivity_step = 0.05;

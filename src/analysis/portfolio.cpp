@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
+
+#include "util/parallel.hpp"
 
 namespace atcd::analysis {
 namespace {
@@ -16,8 +19,7 @@ namespace {
 /// (+1 for all-zero-cost models): every un-hardened attack is
 /// affordable with slack, while a hardened leaf stays affordable only
 /// when its base cost is below ~2/cost_factor of the model total —
-/// negligible at the default factor.  Scale-aware, unlike defense.cpp's
-/// fixed 1e12 (which pairs with *infinite* hardening's 1e15 sentinel).
+/// negligible at the default factor.
 double effective_attacker_budget(double bound,
                                  const std::vector<double>& base_cost) {
   if (!std::isinf(bound)) return bound;
@@ -26,9 +28,19 @@ double effective_attacker_budget(double bound,
   return 2.0 * total + 1.0;
 }
 
-bool lex_less(const std::vector<std::string>& a,
-              const std::vector<std::string>& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+/// Whether subset \p a's countermeasure names, in catalogue order,
+/// precede subset \p b's lexicographically.
+bool lex_less(std::uint64_t a, std::uint64_t b,
+              const std::vector<defense::Countermeasure>& catalogue) {
+  const std::size_t n = catalogue.size();
+  std::size_t i = 0, j = 0;
+  for (;; ++i, ++j) {
+    while (i < n && !(a >> i & 1)) ++i;
+    while (j < n && !(b >> j & 1)) ++j;
+    if (i == n || j == n) return i == n && j != n;
+    if (catalogue[i].name != catalogue[j].name)
+      return catalogue[i].name < catalogue[j].name;
+  }
 }
 
 template <class Model>
@@ -41,88 +53,96 @@ PortfolioResult portfolio_impl(
         "portfolio: catalogue of " + std::to_string(catalogue.size()) +
         " defenses exceeds the exhaustive cap of " +
         std::to_string(opt.max_portfolio_defenses));
+  const auto hardens = defense::resolve(m.tree, catalogue);
 
   PortfolioResult out;
   out.problem = probabilistic ? engine::Problem::Edgc : engine::Problem::Dgc;
   out.defense_budget = defense_budget;
   out.attacker_budget = effective_attacker_budget(opt.bound, m.cost);
 
-  // Budget-pruned DFS over defense toggles (exclude branch first, so
-  // subsets come out in bitmask order — a fixed, thread-independent
-  // scenario order).  Every affordable subset becomes one hardened
-  // scenario; unaffordable inclusions are cut together with all their
-  // supersets.
+  // Budget-pruned DFS over defense toggles (exclude branch first, a
+  // fixed, thread-independent scenario order).  Every affordable subset
+  // becomes one scenario, kept as its bit mask; unaffordable inclusions
+  // are cut together with all their supersets.
+  struct Scored {
+    double invest = 0.0;
+    double residual = 0.0;
+    std::uint64_t mask = 0;
+  };
   const std::size_t n = catalogue.size();
-  std::vector<PortfolioPoint> points;
-  std::vector<std::vector<bool>> selections;
-  std::vector<bool> selection(n, false);
-  const auto dfs = [&](const auto& self, std::size_t k,
-                       double invest) -> void {
+  std::vector<Scored> subsets;
+  const auto dfs = [&](const auto& self, std::size_t k, double invest,
+                       std::uint64_t mask) -> void {
     if (k == n) {
-      PortfolioPoint p;
-      p.invest = invest;
-      for (std::size_t i = 0; i < n; ++i)
-        if (selection[i]) p.selected.push_back(catalogue[i].name);
-      points.push_back(std::move(p));
-      selections.push_back(selection);
+      subsets.push_back({invest, 0.0, mask});
       return;
     }
-    self(self, k + 1, invest);
-    if (invest + catalogue[k].cost <= defense_budget) {
-      selection[k] = true;
-      self(self, k + 1, invest + catalogue[k].cost);
-      selection[k] = false;
-    }
+    self(self, k + 1, invest, mask);
+    if (invest + catalogue[k].cost <= defense_budget)
+      self(self, k + 1, invest + catalogue[k].cost,
+           mask | std::uint64_t{1} << k);
   };
-  dfs(dfs, 0, 0.0);
-  out.evaluated = points.size();
+  dfs(dfs, 0, 0.0, 0);
+  out.evaluated = subsets.size();
   out.pruned = (std::uint64_t{1} << n) - out.evaluated;
 
-  // Solve the hardened scenarios in fixed-size chunks: materialize a
-  // chunk of model copies (instances borrow them, so the vector must
-  // never reallocate under them), fan it through solve_all, score, and
-  // discard — 2^20 affordable subsets must not mean 2^20 resident
-  // whole-model copies.  Chunking cannot change results: every
-  // instance is solved independently.
-  constexpr std::size_t kChunk = 1024;
-  std::vector<Model> models;
-  std::vector<engine::Instance> instances;
-  for (std::size_t base = 0; base < selections.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, selections.size() - base);
-    models.clear();
-    instances.clear();
-    models.reserve(count);
-    instances.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      models.push_back(
-          defense::harden(m, catalogue, selections[base + i], opt.hardening));
-      instances.push_back(engine::Instance::of(
-          out.problem, models.back(), out.attacker_budget, opt.engine_name));
+  // Each worker hardens its own copy of the model for one subset,
+  // solves it, and restores the base values: hardening reads the base
+  // model, so a BAS named by two selected countermeasures is hardened
+  // once, and no scenario outlives its solve.
+  const auto harden = [&](Model& copy, std::uint64_t mask, bool on) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!(mask >> k & 1)) continue;
+      for (const std::uint32_t i : hardens[k]) {
+        copy.cost[i] = defense::hardened_cost(m.cost[i], on, opt.hardening);
+        if constexpr (probabilistic)
+          copy.prob[i] = defense::hardened_prob(m.prob[i], on, opt.hardening);
+      }
     }
-    const std::vector<engine::SolveResult> results =
-        engine::solve_all(instances, opt.batch);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!results[i].ok)
-        throw Error("portfolio: residual solve failed: " + results[i].error);
-      points[base + i].residual =
-          results[i].attack.feasible ? results[i].attack.damage : 0.0;
-    }
-  }
+  };
+  std::vector<std::optional<Model>> copies(
+      util::worker_count(opt.batch.threads, subsets.size()));
+  util::for_each_index(
+      subsets.size(), opt.batch.threads,
+      [&](std::size_t worker, std::size_t i) {
+        std::optional<Model>& copy = copies[worker];
+        if (!copy) copy.emplace(m);
+        harden(*copy, subsets[i].mask, true);
+        const engine::SolveResult r = engine::solve_one(
+            engine::Instance::of(out.problem, *copy, out.attacker_budget,
+                                 opt.engine_name),
+            opt.batch);
+        harden(*copy, subsets[i].mask, false);
+        if (!r.ok) throw Error("portfolio: residual solve failed: " + r.error);
+        subsets[i].residual = r.attack.feasible ? r.attack.damage : 0.0;
+      });
 
-  // Frontier: ascending investment, strictly descending residual; ties
-  // resolve toward the cheaper, lexicographically earlier portfolio.
-  std::sort(points.begin(), points.end(),
-            [](const PortfolioPoint& a, const PortfolioPoint& b) {
+  // Frontier: ascending investment, strictly descending residual; among
+  // equal (investment, residual) the lexicographically earliest
+  // selection enters.  Names are rendered for frontier points only.
+  std::sort(subsets.begin(), subsets.end(),
+            [](const Scored& a, const Scored& b) {
               if (a.invest != b.invest) return a.invest < b.invest;
-              if (a.residual != b.residual) return a.residual < b.residual;
-              return lex_less(a.selected, b.selected);
+              return a.residual < b.residual;
             });
   double best_residual = std::numeric_limits<double>::infinity();
-  for (PortfolioPoint& p : points)
-    if (p.residual < best_residual) {
-      best_residual = p.residual;
-      out.frontier.push_back(std::move(p));
+  std::vector<Scored> frontier;
+  for (const Scored& s : subsets) {
+    if (s.residual < best_residual) {
+      best_residual = s.residual;
+      frontier.push_back(s);
+    } else if (!frontier.empty() && s.invest == frontier.back().invest &&
+               s.residual == frontier.back().residual &&
+               lex_less(s.mask, frontier.back().mask, catalogue)) {
+      frontier.back().mask = s.mask;
     }
+  }
+  for (const Scored& s : frontier) {
+    PortfolioPoint p{s.invest, s.residual, {}};
+    for (std::size_t k = 0; k < n; ++k)
+      if (s.mask >> k & 1) p.selected.push_back(catalogue[k].name);
+    out.frontier.push_back(std::move(p));
+  }
   out.best = out.frontier.back();  // never empty: the empty portfolio
   return out;
 }

@@ -4,25 +4,28 @@
 /// the defender buy under a budget?
 ///
 /// Each countermeasure carries a deployment cost and hardens a set of
-/// BASs (defense::Countermeasure; the hardening semantics are the
-/// session defaults — finite cost factor, zero probability factor — so
-/// every backend stays exact).  portfolio() searches the subsets of the
-/// catalogue whose total deployment cost fits the defender budget,
-/// scores each by the *residual damage* — the attacker's optimal DgC
-/// (deterministic) / EDgC (probabilistic) value on the hardened model
-/// under the attacker budget Options::bound — and returns both the best
-/// affordable portfolio and the full investment-vs-residual frontier
-/// (the defender analogue of CDPF: minimal deployment cost per
-/// attainable residual level).
+/// BASs (defense::Countermeasure, hardened by defense.hpp's one rule: a
+/// hardened BAS costs base * cost_factor, or cost_factor when free, and
+/// a BAS named by several selected countermeasures is hardened once).
+/// portfolio() searches the subsets of the catalogue whose total
+/// deployment cost fits the defender budget, scores each by the
+/// *residual damage* — the attacker's optimal DgC (deterministic) /
+/// EDgC (probabilistic) value on the hardened model under the attacker
+/// budget Options::bound — and returns both the best affordable
+/// portfolio and the full investment-vs-residual frontier (the defender
+/// analogue of CDPF: minimal deployment cost per attainable residual
+/// level).  It is the library's one defense search.
 ///
 /// Enumeration is over defense toggles with budget-based
 /// branch-and-bound (the DFS cuts every subset extending an
-/// unaffordable selection), and the surviving hardened scenarios fan out
-/// through engine::solve_all — the planner routes each to bottom-up /
-/// knapsack / BILP / BDD as the hardened model's class dictates, and
-/// each scenario is solved on its own (no cache is bound, and none is
-/// fed).  Results are deterministic across thread counts; ties resolve
-/// toward cheaper and lexicographically earlier portfolios
+/// unaffordable selection).  Each surviving subset is one job of the
+/// shared worker loop: the worker hardens its own copy of the model,
+/// solves it (the planner routes it to bottom-up / knapsack / BILP /
+/// BDD as the hardened model's class dictates; no cache is bound), and
+/// restores the copy.  Only (investment, residual, subset mask) is kept
+/// per subset, and countermeasure names are rendered for frontier
+/// points only.  Results are deterministic across thread counts; ties
+/// resolve toward cheaper and lexicographically earlier portfolios
 /// (tests/test_analysis.cpp cross-validates against plain brute-force
 /// enumeration).
 

@@ -1,10 +1,12 @@
 #include "analysis/sensitivity.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "pareto/metrics.hpp"
+#include "util/parallel.hpp"
 
 namespace atcd::analysis {
 namespace {
@@ -18,18 +20,19 @@ double perturb(Attribute attribute, double base, double step) {
   return base > 0.0 ? base * (1.0 + step) : step;
 }
 
+/// Sets the parameter \p attribute of BAS \p leaf to \p value.
 template <class Model>
-void apply(Model& m, const SensitivityEntry& e, NodeId leaf) {
+void set(Model& m, Attribute attribute, NodeId leaf, double value) {
   const std::uint32_t i = m.tree.bas_index(leaf);
-  switch (e.attribute) {
+  switch (attribute) {
     case Attribute::Cost:
-      m.cost[i] = e.perturbed;
+      m.cost[i] = value;
       break;
     case Attribute::Damage:
-      m.damage[leaf] = e.perturbed;
+      m.damage[leaf] = value;
       break;
     case Attribute::Prob:
-      if constexpr (std::is_same_v<Model, CdpAt>) m.prob[i] = e.perturbed;
+      if constexpr (std::is_same_v<Model, CdpAt>) m.prob[i] = value;
       break;
     case Attribute::Defense:
       break;  // not a leaf parameter; never generated below
@@ -64,39 +67,34 @@ SensitivityReport sensitivity_impl(const Model& m, const Options& opt) {
     }
   }
 
-  // Fan the base solve plus every distinct scenario out through
-  // solve_all; each is solved on its own.
-  std::vector<Model> models;
-  std::vector<engine::Instance> instances;
-  models.reserve(report.ranking.size());
-  instances.reserve(report.ranking.size() + 1);
-  instances.push_back(
-      engine::Instance::of(report.problem, m, 0.0, opt.engine_name));
-  std::vector<std::size_t> instance_of(report.ranking.size(), 0);
-  for (std::size_t k = 0; k < report.ranking.size(); ++k) {
-    const SensitivityEntry& e = report.ranking[k];
-    if (e.perturbed == e.base) continue;  // no-op scenario: distance 0
-    models.push_back(m);
-    apply(models.back(), e, leaf_of[k]);
-    instance_of[k] = instances.size();
-    instances.push_back(engine::Instance::of(report.problem, models.back(),
-                                             0.0, opt.engine_name));
-  }
-  const std::vector<engine::SolveResult> results =
-      engine::solve_all(instances, opt.batch);
+  engine::SolveResult base = engine::solve_one(
+      engine::Instance::of(report.problem, m, 0.0, opt.engine_name),
+      opt.batch);
+  if (!base.ok) throw Error("sensitivity: base solve failed: " + base.error);
+  report.base = std::move(base.front);
 
-  if (!results[0].ok)
-    throw Error("sensitivity: base solve failed: " + results[0].error);
-  report.base = results[0].front;
-  for (std::size_t k = 0; k < report.ranking.size(); ++k) {
-    if (instance_of[k] == 0) continue;
-    const engine::SolveResult& r = results[instance_of[k]];
-    if (!r.ok) {
-      report.ranking[k].error = r.error;
-      continue;
-    }
-    report.ranking[k].distance = front_distance(report.base, r.front);
-  }
+  // Each worker perturbs one parameter of its own copy of the model,
+  // solves it, scores the front against the base, and restores the
+  // parameter, so only the in-flight scenarios' fronts are alive.
+  std::vector<std::optional<Model>> copies(
+      util::worker_count(opt.batch.threads, report.ranking.size()));
+  util::for_each_index(
+      report.ranking.size(), opt.batch.threads,
+      [&](std::size_t worker, std::size_t k) {
+        SensitivityEntry& e = report.ranking[k];
+        if (e.perturbed == e.base) return;  // no-op scenario: distance 0
+        std::optional<Model>& copy = copies[worker];
+        if (!copy) copy.emplace(m);
+        set(*copy, e.attribute, leaf_of[k], e.perturbed);
+        const engine::SolveResult r = engine::solve_one(
+            engine::Instance::of(report.problem, *copy, 0.0, opt.engine_name),
+            opt.batch);
+        set(*copy, e.attribute, leaf_of[k], e.base);
+        if (r.ok)
+          e.distance = front_distance(report.base, r.front);
+        else
+          e.error = r.error;
+      });
   std::stable_sort(report.ranking.begin(), report.ranking.end(),
                    [](const SensitivityEntry& a, const SensitivityEntry& b) {
                      if (a.distance != b.distance)

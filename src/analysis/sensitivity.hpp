@@ -13,11 +13,13 @@
 /// front_distance between the perturbed and base fronts: the maximal
 /// attainable-damage shift at equal cost.
 ///
-/// The base model and the perturbed instances fan out through
-/// engine::solve_all, each solved on its own across the thread pool;
-/// no cache is bound, so a request's memory is that of its in-flight
-/// solves.  Results are deterministic across thread counts; ties in
-/// the ranking break by (attribute, node name).
+/// The base front is solved first.  Then each perturbation is one job
+/// of the shared worker loop: the worker sets the parameter on its own
+/// copy of the model, solves it, keeps only the distance to the base
+/// front, and restores the parameter.  No cache is bound, so a
+/// request's memory is the base front, one entry per parameter, and
+/// its in-flight solves.  Results are deterministic across thread
+/// counts; ties in the ranking break by (attribute, node name).
 
 #include <string>
 #include <vector>

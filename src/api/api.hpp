@@ -107,10 +107,14 @@ struct SolveRequest {
 };
 
 /// Several independent solves fanned out over `threads` workers; item
-/// results come back index-aligned inside one response.
+/// results come back index-aligned inside one response.  The dispatcher
+/// clamps `threads` to the service's thread cap (atcd_server --threads)
+/// when one is set, and always to the hardware concurrency and the item
+/// count (util::worker_count), so a request can never start more threads
+/// than the host has cores; the response bytes do not depend on it.
 struct BatchRequest {
   std::vector<SolveSpec> items;
-  std::size_t threads = 0;  ///< 0 = min(hardware, items)
+  std::size_t threads = 0;  ///< 0 = the cap (or hardware), see above
 };
 
 /// Opens an incremental edit session (service/session.hpp).

@@ -1,14 +1,12 @@
 #include "api/dispatcher.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "analysis/portfolio.hpp"
 #include "analysis/sensitivity.hpp"
@@ -20,6 +18,7 @@
 #include "obs/trace_export.hpp"
 #include "persist/snapshot.hpp"
 #include "service/timing.hpp"
+#include "util/parallel.hpp"
 
 namespace atcd::api {
 namespace {
@@ -333,25 +332,16 @@ struct OperationHandler {
     d.solves_->add(r.items.size());
     BatchPayload out;
     out.items.resize(r.items.size());
-    const std::size_t n = r.items.size();
-    std::size_t threads =
-        r.threads ? r.threads : std::thread::hardware_concurrency();
-    threads = std::max<std::size_t>(1, std::min(threads, n));
-    if (threads <= 1) {
-      for (std::size_t i = 0; i < n; ++i)
-        out.items[i] = d.solve_item(r.items[i]);
-    } else {
-      std::atomic<std::size_t> next{0};
-      const auto worker = [&] {
-        for (std::size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1))
-          out.items[i] = d.solve_item(r.items[i]);
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-      for (auto& th : pool) th.join();
-    }
+    // The request's thread count is clamped to the service's analysis
+    // cap (atcd_server --threads), then to the hardware, by the shared
+    // loop; items are index-aligned, so the bytes never depend on it.
+    const std::size_t cap = d.service_->options().batch.threads;
+    const std::size_t threads =
+        cap && (r.threads == 0 || r.threads > cap) ? cap : r.threads;
+    util::for_each_index(r.items.size(), threads,
+                         [&](std::size_t, std::size_t i) {
+                           out.items[i] = d.solve_item(r.items[i]);
+                         });
     return out;
   }
 

@@ -10,15 +10,15 @@ namespace atcd {
 namespace detail {
 namespace {
 
-std::vector<AttrTriple> prune(std::vector<AttrTriple> xs,
-                              const BottomUpOptions& opt) {
-  if (opt.ignore_activation) {
+std::vector<AttrTriple> prune(std::vector<AttrTriple> xs, double budget,
+                              const SweepAblation& ablation) {
+  if (ablation.ignore_activation) {
     // Ablation A1: forget the activation coordinate before minimizing.
     // This reproduces the unsound "naive 2-D propagation" of Example 4.
     for (auto& x : xs) x.t.act = 0.0;
   }
-  return opt.quadratic_prune ? prune_min_quadratic(std::move(xs), opt.budget)
-                             : prune_min(std::move(xs), opt.budget);
+  return ablation.quadratic_prune ? prune_min_quadratic(std::move(xs), budget)
+                                  : prune_min(std::move(xs), budget);
 }
 
 /// Combines the fronts of two disjoint sub-ATs (eqs. (4), (5), (8)-(10)):
@@ -50,7 +50,8 @@ struct Sweep {
   const std::vector<double>& cost;
   const std::vector<double>& damage;
   const std::vector<double>& prob;
-  const BottomUpOptions& opt;
+  double budget;
+  const SweepAblation& ablation;
 
   std::vector<AttrTriple> at(NodeId v) const {
     const auto& n = tree.node(v);
@@ -58,32 +59,31 @@ struct Sweep {
       std::vector<AttrTriple> r;
       r.push_back({Triple{0.0, 0.0, 0.0}, Attack(tree.bas_count())});
       const double c = cost[n.bas_index];
-      if (c <= opt.budget) {
+      if (c <= budget) {
         const double p = prob[n.bas_index];
         Attack w(tree.bas_count());
         w.set(n.bas_index);
         r.push_back({Triple{c, p * damage[v], p}, std::move(w)});
       }
-      return prune(std::move(r), opt);
+      return prune(std::move(r), budget, ablation);
     }
     // Fold the children left to right; pruning between folds is sound
     // because the remaining combinators are monotone in every coordinate.
     std::vector<AttrTriple> acc = at(n.children[0]);
     for (std::size_t i = 1; i < n.children.size(); ++i)
-      acc = prune(combine(acc, at(n.children[i]), n.type), opt);
+      acc = prune(combine(acc, at(n.children[i]), n.type), budget, ablation);
     // Add this node's own damage, weighted by its activation (det.: 0/1).
     for (auto& x : acc) x.t.damage += x.t.act * damage[v];
-    return prune(std::move(acc), opt);
+    return prune(std::move(acc), budget, ablation);
   }
 };
 
 }  // namespace
 
-std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
-                                             const std::vector<double>& cost,
-                                             const std::vector<double>& damage,
-                                             const std::vector<double>& prob,
-                                             const BottomUpOptions& opt) {
+std::vector<AttrTriple> bottom_up_root_front_reference(
+    const AttackTree& tree, const std::vector<double>& cost,
+    const std::vector<double>& damage, const std::vector<double>& prob,
+    double budget, const SweepAblation& ablation) {
   if (!tree.finalized())
     throw ModelError("bottom_up: tree not finalized");
   if (!tree.is_treelike())
@@ -91,13 +91,7 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
         "bottom_up: model is DAG-shaped; sub-AT attack spaces are not "
         "disjoint, use the BILP engine (deterministic) or the BDD engine "
         "(probabilistic) instead");
-  // The ablation options only exist on the recursive sweep, which takes
-  // no memo, so the unsound ablation's fronts cannot reach a cache.
-  // Everything else runs the arena/SoA stack machine (byte-identical
-  // results, see bottom_up_arena.cpp).
-  if (opt.pointer_path || opt.quadratic_prune || opt.ignore_activation)
-    return Sweep{tree, cost, damage, prob, opt}.at(tree.root());
-  return bottom_up_root_front_arena(tree, cost, damage, prob, opt);
+  return Sweep{tree, cost, damage, prob, budget, ablation}.at(tree.root());
 }
 
 namespace {
@@ -138,6 +132,34 @@ struct Activation {
   }
 };
 
+/// The root's (expected) damage of the attack whose BASs have the
+/// activations \p bas_act (per node; 0 = not taken), in the sweep's
+/// floating-point order: a BAS contributes act * damage, a gate folds
+/// its children left to right (damages add, activations combine by the
+/// gate operator) and then adds act * its own damage.
+double sweep_damage(const AttackTree& tree, const std::vector<double>& damage,
+                    const std::vector<double>& bas_act) {
+  std::vector<double> act(tree.node_count()), dmg(tree.node_count());
+  for (const NodeId v : tree.topological_order()) {
+    if (tree.is_bas(v)) {
+      act[v] = bas_act[v];
+      dmg[v] = act[v] * damage[v];
+      continue;
+    }
+    const bool is_and = tree.type(v) == NodeType::AND;
+    const auto& cs = tree.children(v);
+    double a = act[cs[0]], d = dmg[cs[0]];
+    for (std::size_t i = 1; i < cs.size(); ++i) {
+      const double b = act[cs[i]];
+      d = d + dmg[cs[i]];
+      a = is_and ? a * b : a + b - a * b;
+    }
+    act[v] = a;
+    dmg[v] = d + a * damage[v];
+  }
+  return dmg[tree.root()];
+}
+
 }  // namespace
 
 double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
@@ -159,7 +181,6 @@ double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
     else
       heap.push_back({0.0, i});
   }
-  if (reached >= threshold) return 0.0;
   // Best ratio first; ties go to the cheaper, then the lower BAS index.
   const auto worse = [&](const Cand& a, const Cand& b) {
     if (a.ratio != b.ratio) return a.ratio < b.ratio;
@@ -200,6 +221,14 @@ double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
     else
       spent += cost[i];
   }
+  // The greedy summed damage in pick order; the sweep sums it in tree
+  // order.  Certify the attack with the sweep's own arithmetic, so a
+  // bound is only returned for an attack the pruned front keeps a point
+  // for at or above the threshold (exactly so on deterministic models:
+  // sums and products with nonnegative terms are monotone in IEEE
+  // arithmetic).  An attack that misses by a rounding gets no bound,
+  // so the CgD sweep runs once, unpruned, instead of twice.
+  if (sweep_damage(tree, damage, g.act) < threshold) return kNoBudget;
   // The sweep sums the same costs in another order; the slack keeps
   // this attack inside the bound whatever that order rounds to.
   return spent + spent * 1e-9;

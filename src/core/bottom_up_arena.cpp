@@ -1,9 +1,9 @@
 /// \file bottom_up_arena.cpp
-/// The arena/SoA bottom-up sweep — the default hot path behind
-/// detail::bottom_up_root_front().
+/// The arena/SoA bottom-up sweep: detail::bottom_up_root_front(), the
+/// sweep every bottom-up solve runs.
 ///
-/// This is a stack-machine transcription of the recursive sweep in
-/// bottom_up.cpp, with the same evaluation order step for step:
+/// This is a stack-machine transcription of the recursive reference
+/// sweep in bottom_up.cpp, with the same evaluation order step for step:
 ///
 ///   * nodes are visited in DFS order over the post-order arena,
 ///     children left to right;
@@ -207,10 +207,11 @@ struct ArenaSweep {
 
 }  // namespace
 
-std::vector<AttrTriple> bottom_up_root_front_arena(
-    const AttackTree& tree, const std::vector<double>& cost,
-    const std::vector<double>& damage, const std::vector<double>& prob,
-    const BottomUpOptions& opt) {
+std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
+                                             const std::vector<double>& cost,
+                                             const std::vector<double>& damage,
+                                             const std::vector<double>& prob,
+                                             const BottomUpOptions& opt) {
   if (!tree.finalized()) throw ModelError("bottom_up: tree not finalized");
   if (!tree.is_treelike())
     throw UnsupportedError(

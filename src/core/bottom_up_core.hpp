@@ -54,31 +54,23 @@ class SubtreeVisitor {
   virtual void store(NodeId v, const TripleView& front) = 0;
 };
 
-/// Options for the bottom-up sweep, mostly exercised by ablation benches.
+/// Options of the production sweep.
 struct BottomUpOptions {
   double budget = kNoBudget;  ///< min_U cost pruning (Thm 3 / Thm 8)
-  bool quadratic_prune = false;  ///< use the O(n^2) reference pruner
-  /// Ablation A1: drop the third triple coordinate when pruning
-  /// (deliberately UNSOUND, reproduces the failure mode of Example 4).
-  bool ignore_activation = false;
-  /// Forces the recursive pointer-chasing sweep over AoS fronts instead of
-  /// the arena/SoA stack machine (bottom_up_arena.cpp).  Both produce
-  /// byte-identical fronts; the flag exists as the baseline leg of the
-  /// arena-vs-pointer bench and the equivalence property test.  The
-  /// ablation flags above imply it (their code paths live only in the
-  /// pointer sweep).
-  bool pointer_path = false;
-  /// Per-node memo consulted/populated by the arena sweep only: the
-  /// pointer sweep (and so every ablation, including the unsound
-  /// ignore_activation one) never reads it.  The visitor must have been
-  /// bound to the same (tree, decorations, budget) this sweep runs with.
+  /// Per-node memo consulted and populated by the sweep.  The visitor
+  /// must have been bound to the same (tree, decorations, budget) this
+  /// sweep runs with.
   SubtreeVisitor* visitor = nullptr;
 };
 
 /// Computes C^P_U(v) for v = root: the incomplete Pareto front of
 /// attribute triples (cost, expected damage, activation probability) over
 /// all attacks on the tree, budget-pruned and ⊑-minimized at every node.
-/// Witnesses are attacks over the full BAS index space.
+/// Witnesses are attacks over the full BAS index space.  This is the
+/// arena/SoA stack machine (bottom_up_arena.cpp): it flattens the tree
+/// into a post-order arena and runs a non-recursive sweep over SoA
+/// fronts, speaking the SubtreeVisitor protocol (pre-order lookup,
+/// post-order store, memo-hit subtrees never descended into).
 ///
 /// Preconditions: tree finalized and treelike; decoration sizes match.
 /// Throws UnsupportedError on DAG input.
@@ -88,29 +80,38 @@ std::vector<AttrTriple> bottom_up_root_front(const AttackTree& tree,
                                              const std::vector<double>& prob,
                                              const BottomUpOptions& opt = {});
 
+/// The ablations only the reference sweep implements.
+struct SweepAblation {
+  bool quadratic_prune = false;  ///< use the O(n^2) reference pruner
+  /// Ablation A1: drop the third triple coordinate when pruning
+  /// (deliberately UNSOUND, reproduces the failure mode of Example 4).
+  bool ignore_activation = false;
+};
+
+/// The recursive pointer sweep over AoS fronts (bottom_up.cpp): the
+/// byte-identical oracle of bottom_up_root_front() and the baseline and
+/// ablation leg of the benches.  It takes no memo, so no ablation's
+/// fronts can reach a cache.  Same preconditions and, without
+/// ablations, the same result byte for byte.
+std::vector<AttrTriple> bottom_up_root_front_reference(
+    const AttackTree& tree, const std::vector<double>& cost,
+    const std::vector<double>& damage, const std::vector<double>& prob,
+    double budget = kNoBudget, const SweepAblation& ablation = {});
+
 /// An upper bound on the cheapest attack whose (expected) damage reaches
 /// \p threshold: the cost of the attack a greedy picks — free BASs
 /// first, then by marginal damage per cost, then dropping the dearest
 /// picks the threshold does not need — plus a relative 1e-9 slack for
 /// summation order.  Marginal damages are evaluated incrementally:
-/// taking a BAS walks up only while activations change.  0 when
-/// threshold <= 0; kNoBudget when no attack reaches it (or it is NaN).
+/// taking a BAS walks up only while activations change.  The kept
+/// attack's damage is then re-evaluated in the sweep's own order of
+/// operations; if that misses the threshold (by a rounding), there is
+/// no bound.  0 when threshold <= 0; kNoBudget when no attack reaches
+/// it (or it is NaN).
 /// Any attack's cost bounds the CgD/CgED optimum, so a sweep pruned at
 /// this budget (min_U, Thm 3) still holds the answer.
 double cost_bound(const AttackTree& tree, const std::vector<double>& cost,
                   const std::vector<double>& damage,
                   const std::vector<double>& prob, double threshold);
-
-/// The arena/SoA hot path behind bottom_up_root_front() (the default
-/// unless an option forces the pointer sweep): flattens the tree into a
-/// post-order arena and runs a non-recursive stack machine over SoA
-/// fronts.  Same preconditions, same result, byte for byte.  It is the
-/// only sweep that speaks the SubtreeVisitor protocol (pre-order lookup,
-/// post-order store, memo-hit subtrees never descended into).
-/// bottom_up_arena.cpp.
-std::vector<AttrTriple> bottom_up_root_front_arena(
-    const AttackTree& tree, const std::vector<double>& cost,
-    const std::vector<double>& damage, const std::vector<double>& prob,
-    const BottomUpOptions& opt = {});
 
 }  // namespace atcd::detail

@@ -1,14 +1,41 @@
 #include "defense/defense.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/problems.hpp"
+#include <type_traits>
 
 namespace atcd::defense {
 namespace {
 
-/// Resolves catalogue BAS names once; throws on unknown/internal names.
+template <class Model>
+Model harden_impl(const Model& m, const std::vector<Countermeasure>& catalogue,
+                  const std::vector<bool>& selected,
+                  const HardeningSemantics& s) {
+  if (selected.size() != catalogue.size())
+    throw ModelError("defense: selection size mismatch");
+  const auto resolved = resolve(m.tree, catalogue);
+  std::vector<bool> hardened(m.tree.bas_count(), false);
+  for (std::size_t k = 0; k < resolved.size(); ++k)
+    if (selected[k])
+      for (const std::uint32_t i : resolved[k]) hardened[i] = true;
+  Model out = m;
+  for (std::uint32_t i = 0; i < hardened.size(); ++i) {
+    out.cost[i] = hardened_cost(m.cost[i], hardened[i], s);
+    if constexpr (std::is_same_v<Model, CdpAt>)
+      out.prob[i] = hardened_prob(m.prob[i], hardened[i], s);
+  }
+  return out;
+}
+
+}  // namespace
+
+double hardened_cost(double base, bool hardened, const HardeningSemantics& s) {
+  if (!hardened) return base;
+  return base > 0.0 ? base * s.cost_factor : s.cost_factor;
+}
+
+double hardened_prob(double base, bool hardened, const HardeningSemantics& s) {
+  return hardened ? base * s.prob_factor : base;
+}
+
 std::vector<std::vector<std::uint32_t>> resolve(
     const AttackTree& t, const std::vector<Countermeasure>& catalogue) {
   std::vector<std::vector<std::uint32_t>> out;
@@ -27,143 +54,14 @@ std::vector<std::vector<std::uint32_t>> resolve(
   return out;
 }
 
-void apply(std::vector<double>& cost, std::vector<double>* prob,
-           const std::vector<std::vector<std::uint32_t>>& resolved,
-           const std::vector<bool>& selected, const HardeningSemantics& s) {
-  for (std::size_t k = 0; k < resolved.size(); ++k) {
-    if (!selected[k]) continue;
-    for (const auto i : resolved[k]) {
-      if (std::isinf(s.cost_factor))
-        cost[i] = std::numeric_limits<double>::infinity();
-      else
-        cost[i] *= s.cost_factor;
-      if (prob) (*prob)[i] *= s.prob_factor;
-    }
-  }
-  // Engines require finite costs; "infeasible" is modelled as a cost
-  // beyond any conceivable budget.
-  for (auto& c : cost)
-    if (std::isinf(c)) c = 1e15;
-}
-
-double residual(const CdAt& m, double attacker_budget) {
-  // "Unbounded" must still exclude the 1e15 infeasibility sentinel —
-  // an attacker with a literally infinite budget would ignore hardening
-  // altogether.  1e12 is far above any realistic model cost and far
-  // below the sentinel.
-  if (std::isinf(attacker_budget)) attacker_budget = 1e12;
-  return dgc(m, attacker_budget).damage;
-}
-
-}  // namespace
-
 CdAt harden(const CdAt& m, const std::vector<Countermeasure>& catalogue,
             const std::vector<bool>& selected, const HardeningSemantics& s) {
-  if (selected.size() != catalogue.size())
-    throw ModelError("defense: selection size mismatch");
-  CdAt out = m;
-  apply(out.cost, nullptr, resolve(m.tree, catalogue), selected, s);
-  return out;
+  return harden_impl(m, catalogue, selected, s);
 }
 
 CdpAt harden(const CdpAt& m, const std::vector<Countermeasure>& catalogue,
              const std::vector<bool>& selected, const HardeningSemantics& s) {
-  if (selected.size() != catalogue.size())
-    throw ModelError("defense: selection size mismatch");
-  CdpAt out = m;
-  apply(out.cost, &out.prob, resolve(m.tree, catalogue), selected, s);
-  return out;
-}
-
-std::vector<DefensePoint> defense_front(
-    const CdAt& m, const std::vector<Countermeasure>& catalogue,
-    const DefenseOptions& opt) {
-  m.validate();
-  if (catalogue.size() > opt.max_exhaustive)
-    throw CapacityError("defense_front: catalogue of " +
-                        std::to_string(catalogue.size()) +
-                        " exceeds the exhaustive cap; use greedy_defense");
-  const auto resolved = resolve(m.tree, catalogue);
-  (void)resolved;  // name validation up front
-
-  struct Raw {
-    double cost, damage;
-    std::uint64_t mask;
-  };
-  std::vector<Raw> raws;
-  const std::uint64_t total = std::uint64_t{1} << catalogue.size();
-  for (std::uint64_t mask = 0; mask < total; ++mask) {
-    std::vector<bool> sel(catalogue.size());
-    double dcost = 0.0;
-    for (std::size_t k = 0; k < catalogue.size(); ++k) {
-      sel[k] = (mask >> k) & 1;
-      if (sel[k]) dcost += catalogue[k].cost;
-    }
-    const CdAt hardened = harden(m, catalogue, sel, opt.semantics);
-    raws.push_back({dcost, residual(hardened, opt.attacker_budget), mask});
-  }
-  // Defender Pareto: minimize both defense cost and residual damage.
-  std::sort(raws.begin(), raws.end(), [](const Raw& a, const Raw& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.damage < b.damage;
-  });
-  std::vector<DefensePoint> front;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& r : raws) {
-    if (r.damage < best) {
-      best = r.damage;
-      DefensePoint p;
-      p.defense_cost = r.cost;
-      p.residual_damage = r.damage;
-      for (std::size_t k = 0; k < catalogue.size(); ++k)
-        if ((r.mask >> k) & 1) p.portfolio.push_back(catalogue[k].name);
-      front.push_back(std::move(p));
-    }
-  }
-  return front;
-}
-
-std::vector<DefensePoint> greedy_defense(
-    const CdAt& m, const std::vector<Countermeasure>& catalogue,
-    double defense_budget, const DefenseOptions& opt) {
-  m.validate();
-  (void)resolve(m.tree, catalogue);
-  std::vector<bool> selected(catalogue.size(), false);
-  double spent = 0.0;
-  std::vector<DefensePoint> trace;
-  double current =
-      residual(harden(m, catalogue, selected, opt.semantics),
-               opt.attacker_budget);
-  trace.push_back({0.0, current, {}});
-
-  for (;;) {
-    int best_k = -1;
-    double best_ratio = 0.0, best_residual = current;
-    for (std::size_t k = 0; k < catalogue.size(); ++k) {
-      if (selected[k] || catalogue[k].cost + spent > defense_budget) continue;
-      auto trial = selected;
-      trial[k] = true;
-      const double r = residual(harden(m, catalogue, trial, opt.semantics),
-                                opt.attacker_budget);
-      const double gain = current - r;
-      const double ratio = gain / std::max(1e-12, catalogue[k].cost);
-      if (gain > 1e-12 && ratio > best_ratio) {
-        best_ratio = ratio;
-        best_k = static_cast<int>(k);
-        best_residual = r;
-      }
-    }
-    if (best_k < 0) break;
-    selected[static_cast<std::size_t>(best_k)] = true;
-    spent += catalogue[static_cast<std::size_t>(best_k)].cost;
-    current = best_residual;
-    DefensePoint p = trace.back();
-    p.defense_cost = spent;
-    p.residual_damage = current;
-    p.portfolio.push_back(catalogue[static_cast<std::size_t>(best_k)].name);
-    trace.push_back(std::move(p));
-  }
-  return trace;
+  return harden_impl(m, catalogue, selected, s);
 }
 
 }  // namespace atcd::defense

@@ -1,33 +1,29 @@
 #pragma once
 /// \file defense.hpp
-/// Defender-side countermeasure selection on top of cost-damage analysis.
+/// The one hardening rule: what defending a BAS does to the model.
 ///
 /// The paper's case study reads its Pareto fronts as defense advice
 /// ("security improvements should focus on ...; after defenses are put in
-/// place, a new cost-damage analysis is needed").  This module closes
-/// that loop: given a catalogue of countermeasures — each with a
-/// deployment cost, each hardening a set of BASs — it searches defense
-/// portfolios and scores every portfolio by the *residual risk*, i.e. the
-/// attacker's DgC value on the hardened model.
+/// place, a new cost-damage analysis is needed").  Every defender-side
+/// feature applies defenses by this module's rule: a session's
+/// `toggle-defense` (service/session.hpp), a sweep's Defense axis
+/// (analysis/sweep.hpp, which replays through a session), and the
+/// countermeasure portfolios of analysis/portfolio.hpp, the one defense
+/// search.
 ///
-/// Hardening semantics: a hardened BAS becomes unattractive rather than
-/// structurally removed — its cost is multiplied by `cost_factor` (or
-/// made unaffordable with `cost_factor = infinity`) and, in probabilistic
-/// models, its success probability is multiplied by `prob_factor`.
-/// Structural removal would be wrong for AND-gates (removing a child
-/// conjunct *helps* the attacker).
-///
-/// Outputs the defense-cost / residual-damage Pareto front: the defender
-/// analogue of CDPF.  Exhaustive over portfolios (catalogues are small in
-/// practice; capacity-guarded) with an optional greedy mode for larger
-/// catalogues.
+/// Hardening is a per-BAS boolean.  A hardened BAS becomes unattractive
+/// rather than structurally removed: it costs `base * cost_factor`, or
+/// the bare `cost_factor` when its base cost is 0 (a free BAS must not
+/// stay free), and its success probability is multiplied by
+/// `prob_factor`.  Structural removal would be wrong for AND-gates
+/// (removing a child conjunct *helps* the attacker).  A BAS named by
+/// several selected countermeasures is hardened once.
 
-#include <limits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/cdat.hpp"
-#include "pareto/front2d.hpp"
 
 namespace atcd::defense {
 
@@ -39,46 +35,32 @@ struct Countermeasure {
 };
 
 struct HardeningSemantics {
-  /// Multiplier on the cost of a hardened BAS; infinity = infeasible.
-  double cost_factor = std::numeric_limits<double>::infinity();
-  /// Multiplier on the success probability (probabilistic models).
+  /// Cost multiplier of a hardened BAS (its cost when the base is 0).
+  /// Finite, so every backend stays exact — including BILP on hardened
+  /// DAG models, whose simplex equilibrates rows and columns (lp.cpp) and
+  /// stays stable to factors of 1e9 and beyond.  1e6 dwarfs every
+  /// realistic attacker budget while keeping hardened-plus-base cost sums
+  /// well inside exact double range.
+  double cost_factor = 1e6;
+  /// Success-probability multiplier of a hardened BAS.
   double prob_factor = 0.0;
 };
 
-/// A point of the defender front.
-struct DefensePoint {
-  double defense_cost = 0.0;
-  double residual_damage = 0.0;  ///< attacker's DgC on the hardened model
-  std::vector<std::string> portfolio;  ///< countermeasure names
-};
+/// The effective cost of a BAS with base cost \p base.
+double hardened_cost(double base, bool hardened, const HardeningSemantics& s);
+/// The effective success probability of a BAS with base \p base.
+double hardened_prob(double base, bool hardened, const HardeningSemantics& s);
 
-struct DefenseOptions {
-  /// The attacker budget used to evaluate residual damage (DgC's U).
-  double attacker_budget = std::numeric_limits<double>::infinity();
-  HardeningSemantics semantics;
-  /// Exhaustive search cap: 2^|catalogue| portfolios.
-  std::size_t max_exhaustive = 16;
-};
+/// The BAS indices each countermeasure hardens, in catalogue order.
+/// Throws ModelError when a name is unknown or names a gate.
+std::vector<std::vector<std::uint32_t>> resolve(
+    const AttackTree& t, const std::vector<Countermeasure>& catalogue);
 
-/// Applies a set of countermeasures to a model.
+/// The model with the selected countermeasures' BASs hardened.  Throws
+/// ModelError on a selection of the wrong size or a bad BAS name.
 CdAt harden(const CdAt& m, const std::vector<Countermeasure>& catalogue,
             const std::vector<bool>& selected, const HardeningSemantics& s);
 CdpAt harden(const CdpAt& m, const std::vector<Countermeasure>& catalogue,
              const std::vector<bool>& selected, const HardeningSemantics& s);
-
-/// The defender's Pareto front (defense cost vs residual damage), by
-/// exhaustive portfolio enumeration.  Throws CapacityError beyond
-/// opt.max_exhaustive countermeasures.
-std::vector<DefensePoint> defense_front(
-    const CdAt& m, const std::vector<Countermeasure>& catalogue,
-    const DefenseOptions& opt = {});
-
-/// Greedy portfolio for a defense budget: repeatedly add the
-/// countermeasure with the best residual-damage reduction per cost until
-/// the budget is exhausted.  Not optimal (set-cover-like), but scales;
-/// returns the greedy sequence with intermediate residuals.
-std::vector<DefensePoint> greedy_defense(
-    const CdAt& m, const std::vector<Countermeasure>& catalogue,
-    double defense_budget, const DefenseOptions& opt = {});
 
 }  // namespace atcd::defense

@@ -1,10 +1,7 @@
 #include "engine/batch.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace atcd::engine {
 
@@ -111,40 +108,16 @@ SolveResult solve_one(const Instance& instance, const BatchOptions& opt) {
 std::vector<SolveResult> solve_all(std::span<const Instance> instances,
                                    const BatchOptions& opt) {
   std::vector<SolveResult> results(instances.size());
-  if (instances.empty()) return results;
-
   const Planner planner = make_planner(opt);
-  std::size_t n_threads = opt.threads;
-  if (n_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n_threads = hw == 0 ? 2 : hw;
-  }
-  n_threads = std::min(n_threads, instances.size());
-
-  // Work-stealing by atomic index: each worker pulls the next unsolved
-  // instance, so fast instances don't wait behind slow ones.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= instances.size()) return;
-      try {
-        results[i] = run_instance(instances[i], planner, opt);
-      } catch (const std::exception& e) {
-        results[i].ok = false;
-        results[i].error = e.what();
-      }
-    }
-  };
-
-  if (n_threads <= 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
+  util::for_each_index(
+      instances.size(), opt.threads, [&](std::size_t, std::size_t i) {
+        try {
+          results[i] = run_instance(instances[i], planner, opt);
+        } catch (const std::exception& e) {
+          results[i].ok = false;
+          results[i].error = e.what();
+        }
+      });
   return results;
 }
 

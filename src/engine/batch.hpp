@@ -1,7 +1,7 @@
 #pragma once
 /// \file batch.hpp
-/// Batch solve API: fan a set of problem instances out across a small
-/// thread pool — the first step toward the serving / heavy-traffic goal.
+/// Batch solve API: fan a set of problem instances out over the shared
+/// worker loop (util/parallel.hpp).
 ///
 /// Instances reference caller-owned models (no copies); every backend is
 /// stateless and reentrant, so concurrent solves need no locking.
@@ -50,7 +50,8 @@ struct SolveResult {
 };
 
 struct BatchOptions {
-  /// Worker threads; 0 = min(hardware_concurrency, batch size).
+  /// Worker threads, capped by the hardware and the batch size
+  /// (util::worker_count); 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Registry to resolve engines against; null = default_registry().
   const Registry* registry = nullptr;
@@ -70,8 +71,8 @@ std::string instance_error(const Instance& instance);
 /// Solves one instance synchronously.
 SolveResult solve_one(const Instance& instance, const BatchOptions& opt = {});
 
-/// Solves every instance, fanning out across the thread pool.  The i-th
-/// result corresponds to the i-th instance.
+/// Solves every instance, fanning out through util::for_each_index.  The
+/// i-th result corresponds to the i-th instance.
 std::vector<SolveResult> solve_all(std::span<const Instance> instances,
                                    const BatchOptions& opt = {});
 

@@ -36,14 +36,14 @@ class Front2d {
   /// minimal elements of the poset, deduplicated by value (first witness
   /// wins among value-equal candidates).  Input already sorted by
   /// (cost asc, damage desc) — e.g. the projection of a pruned bottom-up
-  /// sweep, or a merge of sorted fronts — is detected in one linear pass
+  /// sweep — is detected in one linear pass
   /// and skips the sort entirely.
   static Front2d of_candidates(std::vector<FrontPoint> candidates);
 
   /// As above, but the caller vouches that \p candidates are already
   /// sorted by (cost asc, damage desc): no check, no sort — the minimal
-  /// sweep runs directly.  The SoA merge/minkowski kernels and the
-  /// bottom-up projection use this.
+  /// sweep runs directly.  FrontSoaStore::get uses this: a stored front
+  /// is already minimal and in front order.
   static Front2d of_candidates(std::vector<FrontPoint> candidates,
                                assume_sorted_t);
 

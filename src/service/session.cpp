@@ -8,15 +8,6 @@
 #include "service/timing.hpp"
 
 namespace atcd::service {
-namespace {
-
-double effective_cost(double base, bool defended,
-                      const defense::HardeningSemantics& s) {
-  if (!defended) return base;
-  return base > 0.0 ? base * s.cost_factor : s.cost_factor;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // The private NodeId-keyed memo: no hashing, no witness translation —
@@ -218,7 +209,7 @@ std::string Session::set_cost(const std::string& bas, double value) {
   const std::uint32_t i = tree().bas_index(*v);
   base_cost_[i] = value;
   (det_ ? det_->cost : prob_->cost)[i] =
-      effective_cost(value, defended_[i], options_.hardening);
+      defense::hardened_cost(value, defended_[i], options_.hardening);
   mark_dirty(*v);
   hash_dirty_ = true;
   ++edits_;
@@ -240,7 +231,7 @@ std::string Session::set_prob(const std::string& bas, double value) {
   const std::uint32_t i = tree().bas_index(*v);
   base_prob_[i] = value;
   prob_->prob[i] =
-      defended_[i] ? value * options_.hardening.prob_factor : value;
+      defense::hardened_prob(value, defended_[i], options_.hardening);
   mark_dirty(*v);
   hash_dirty_ = true;
   ++edits_;
@@ -268,12 +259,11 @@ std::string Session::toggle_defense(const std::string& bas) {
   ensure_unique();
   const std::uint32_t i = tree().bas_index(*v);
   defended_[i] = !defended_[i];
-  (det_ ? det_->cost : prob_->cost)[i] =
-      effective_cost(base_cost_[i], defended_[i], options_.hardening);
+  (det_ ? det_->cost : prob_->cost)[i] = defense::hardened_cost(
+      base_cost_[i], defended_[i], options_.hardening);
   if (probabilistic_)
-    prob_->prob[i] = defended_[i]
-                         ? base_prob_[i] * options_.hardening.prob_factor
-                         : base_prob_[i];
+    prob_->prob[i] = defense::hardened_prob(base_prob_[i], defended_[i],
+                                            options_.hardening);
   mark_dirty(*v);
   hash_dirty_ = true;
   ++edits_;
@@ -379,11 +369,10 @@ std::string Session::replace_subtree(const std::string& node,
     std::vector<double> n_cost(n_base_cost.size());
     std::vector<double> n_prob(n_base_prob.size());
     for (std::size_t i = 0; i < n_cost.size(); ++i) {
-      n_cost[i] =
-          effective_cost(n_base_cost[i], n_defended[i], options_.hardening);
-      n_prob[i] = n_defended[i]
-                      ? n_base_prob[i] * options_.hardening.prob_factor
-                      : n_base_prob[i];
+      n_cost[i] = defense::hardened_cost(n_base_cost[i], n_defended[i],
+                                         options_.hardening);
+      n_prob[i] = defense::hardened_prob(n_base_prob[i], n_defended[i],
+                                         options_.hardening);
     }
     if (probabilistic_) {
       auto m = std::make_shared<CdpAt>(CdpAt{std::move(nt), std::move(n_cost),

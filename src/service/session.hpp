@@ -28,10 +28,11 @@
 /// ChainedSubtreeMemo puts the shared cache under the private memo and
 /// promotes the shared cache's hits into it.
 ///
-/// Edits mutate *base* decorations; `toggle-defense` layers the
-/// defense-module hardening semantics on top (a defended BAS gets its
-/// cost scaled and, in probabilistic models, its success probability
-/// scaled), and resolve() solves the resulting effective model.  The
+/// Edits mutate *base* decorations; `toggle-defense` flips a BAS's
+/// hardened flag, and every effective cost and probability comes from
+/// the one hardening rule (defense::hardened_cost / hardened_prob, the
+/// rule analysis portfolios use too), so resolve() solves the resulting
+/// effective model.  The
 /// incremental fast path engages whenever the planner (or the explicit
 /// engine choice) lands on an incremental-capable backend
 /// (engine::Capabilities::incremental — bottom-up on treelike models);
@@ -77,10 +78,9 @@ class Session {
     /// computed here become visible to everyone else bound to it, and
     /// vice versa.  Null (the API's sessions) = the private memo only.
     SubtreeCache* shared = nullptr;
-    /// toggle-defense hardening.  Defaults differ from defense.hpp's
-    /// (infinite cost): sessions keep costs finite so every backend —
-    /// including BILP on DAG models — stays numerically exact.  A
-    /// defended zero-cost BAS is charged the bare factor.
+    /// toggle-defense hardening (defense.hpp's rule; a defended
+    /// zero-cost BAS is charged the bare factor).  Sessions default to a
+    /// larger cost factor than analyses; analysis sweeps pass theirs.
     defense::HardeningSemantics hardening{1e9, 0.0};
     /// When false, responses carry no model snapshot (Response::det /
     /// Response::prob stay null).  Handing out a snapshot forces the

@@ -494,6 +494,54 @@ TEST(Portfolio, GuardsTheExhaustiveCap) {
   EXPECT_THROW(analysis::portfolio(m, catalogue, 1.0, opt), CapacityError);
 }
 
+/// `a` is free; the attacker's budget of 4 affords it but not `b`.
+constexpr const char* kFreeBasModel =
+    "bas a cost=0 damage=10\n"
+    "bas b cost=5 damage=3\n"
+    "or r = a, b\n";
+
+CdAt parse_det(const char* text) {
+  ParsedModel p = parse_model(text);
+  return CdAt{std::move(p.tree), std::move(p.cost), std::move(p.damage)};
+}
+
+TEST(Portfolio, HardensAFreeBasLikeASessionDoes) {
+  const CdAt m = parse_det(kFreeBasModel);
+  analysis::Options opt;
+  opt.problem = Problem::Dgc;
+  opt.bound = 4.0;
+  const auto r =
+      analysis::portfolio(m, {{"harden_a", 1.0, {"a"}}}, 10.0, opt);
+  // A hardened free BAS costs the bare factor, out of the attacker's
+  // reach: buying the defense removes all damage.
+  ASSERT_EQ(r.frontier.size(), 2u);
+  EXPECT_EQ(r.frontier[0].residual, 10.0);
+  EXPECT_EQ(r.frontier[1].residual, 0.0);
+  EXPECT_EQ(r.frontier[1].selected, std::vector<std::string>{"harden_a"});
+  // The sweep's defense axis (a session toggle) reads the same residuals.
+  const auto sw = analysis::sweep(m, {Axis::toggle("a")}, opt);
+  ASSERT_EQ(sw.cells.size(), 2u);
+  EXPECT_EQ(sw.cells[0].result.attack.damage, 10.0);
+  EXPECT_EQ(sw.cells[1].result.attack.damage, 0.0);
+}
+
+TEST(Portfolio, ABasNamedByTwoSelectedDefensesIsHardenedOnce) {
+  const CdAt m = parse_det(
+      "bas a cost=1 damage=10\n"
+      "bas b cost=5 damage=3\n"
+      "or r = a, b\n");
+  analysis::Options opt;
+  opt.bound = 2000000.0;  // affords a hardened once (1e6), not twice
+  const auto r = analysis::portfolio(
+      m, {{"d1", 1.0, {"a"}}, {"d2", 1.0, {"a"}}}, 10.0, opt);
+  // {d1}, {d2} and {d1, d2} are one scenario, whose attacker still
+  // affords everything: no portfolio lowers the residual.
+  EXPECT_EQ(r.evaluated, 4u);
+  ASSERT_EQ(r.frontier.size(), 1u);
+  EXPECT_EQ(r.frontier[0].residual, 13.0);
+  EXPECT_TRUE(r.frontier[0].selected.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: same inputs yield byte-identical tables on any thread
 // count.

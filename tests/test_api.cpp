@@ -1189,6 +1189,34 @@ TEST(Batch, ItemsAreIndexAlignedAndFailIndependently) {
   }
 }
 
+TEST(Batch, ThreadCountIsClampedAndNeverChangesTheBytes) {
+  // 65,536 requested threads run on at most the service cap (2 here) or
+  // the host's cores; the index-aligned response is the same as on one
+  // thread.
+  BatchRequest b;
+  for (int i = 0; i < 8; ++i) {
+    std::ostringstream model;
+    model << "bas a cost=" << (i + 1) << " damage=2\nbas b cost=4 damage=1\n"
+          << "or r = a, b damage=10\n";
+    b.items.push_back({engine::Problem::Cdpf, 0.0, false, "", model.str()});
+  }
+  std::vector<std::string> bytes;
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{65536}}) {
+      Dispatcher::Options opt;
+      opt.service.batch.threads = cap;
+      Dispatcher d(opt);
+      b.threads = threads;
+      Request r;
+      r.op = b;
+      const Response resp = d.dispatch(r);
+      ASSERT_EQ(resp.code, ErrorCode::Ok);
+      bytes.push_back(encode_response(resp, false));
+    }
+  }
+  for (const std::string& got : bytes) EXPECT_EQ(got, bytes[0]);
+}
+
 // ---------------------------------------------------------------------------
 // Exact-bytes hits: a model text that already hit canonically is served
 // from its cache alias, without parsing, with the same response bytes.

@@ -392,10 +392,8 @@ TEST(Arena, SweepMatchesPointerPathByteForByte) {
       for (const double budget : {kNoBudget, finite}) {
         detail::BottomUpOptions arena_opt;
         arena_opt.budget = budget;
-        detail::BottomUpOptions pointer_opt = arena_opt;
-        pointer_opt.pointer_path = true;
-        const auto ref = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
-                                                      *prob, pointer_opt);
+        const auto ref = detail::bottom_up_root_front_reference(
+            m.tree, m.cost, m.damage, *prob, budget);
         const auto got = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
                                                       *prob, arena_opt);
         EXPECT_TRUE(triple_fronts_identical(got, ref))
@@ -412,15 +410,12 @@ TEST(Arena, SweepRejectsDagsLikeThePointerPath) {
     const CdAt m = testing::random_cdat(rng, 6, false);
     if (m.tree.is_treelike()) continue;
     const std::vector<double> ones(m.cost.size(), 1.0);
-    detail::BottomUpOptions arena_opt;
-    detail::BottomUpOptions pointer_opt;
-    pointer_opt.pointer_path = true;
-    EXPECT_THROW(detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones,
-                                              pointer_opt),
+    EXPECT_THROW(detail::bottom_up_root_front_reference(m.tree, m.cost,
+                                                        m.damage, ones),
                  UnsupportedError);
-    EXPECT_THROW(detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones,
-                                              arena_opt),
-                 UnsupportedError);
+    EXPECT_THROW(
+        detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones),
+        UnsupportedError);
     return;
   }
   FAIL() << "no DAG generated";
@@ -477,11 +472,8 @@ TEST(Arena, VisitorProtocolFollowsTreeOrder) {
     const double budget =
         seed % 2 ? rng.uniform(0.0, cost_sum(m.cost) * 1.1) : kNoBudget;
 
-    detail::BottomUpOptions pointer_opt;
-    pointer_opt.budget = budget;
-    pointer_opt.pointer_path = true;
-    const auto ref = detail::bottom_up_root_front(m.tree, m.cost, m.damage,
-                                                  ones, pointer_opt);
+    const auto ref = detail::bottom_up_root_front_reference(
+        m.tree, m.cost, m.damage, ones, budget);
 
     RecordingVisitor vis(m.tree.bas_count());
     detail::BottomUpOptions arena_opt;

@@ -1,17 +1,25 @@
 /// Tests for the batch solve API (engine/batch.hpp): parallel solve_all
 /// must produce results identical to sequential per-instance calls, and
 /// per-instance failures must be captured without tearing down the batch.
+/// Also the shared worker loop underneath it (util/parallel.hpp): its
+/// thread clamp and its thread-count-independent error.
 
 #include "engine/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "casestudies/dataserver.hpp"
 #include "casestudies/factory.hpp"
 #include "helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace atcd {
 namespace {
@@ -134,6 +142,50 @@ TEST(Batch, EmptyBatchAndOversizedThreadCount) {
   ASSERT_EQ(r.size(), 1u);
   EXPECT_TRUE(r[0].ok);
   EXPECT_EQ(r[0].front.size(), 4u);
+}
+
+TEST(WorkerLoop, NeverRunsOnMoreThreadsThanTheHardware) {
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(util::worker_count(65536, 64), std::min<std::size_t>(hw, 64));
+  EXPECT_EQ(util::worker_count(0, 64), std::min<std::size_t>(hw, 64));
+  EXPECT_EQ(util::worker_count(1, 64), 1u);
+  EXPECT_EQ(util::worker_count(65536, 1), 1u);
+  EXPECT_EQ(util::worker_count(4, 0), 1u);
+
+  // A request for 65,536 threads over 64 jobs: every job runs once, on
+  // no more distinct threads (and worker slots) than the host has cores.
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::set<std::size_t> workers;
+  std::vector<int> runs(64, 0);
+  util::for_each_index(64, 65536, [&](std::size_t worker, std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+    workers.insert(worker);
+    ++runs[i];
+  });
+  EXPECT_LE(threads.size(), hw);
+  EXPECT_EQ(threads.size(), workers.size());
+  EXPECT_LT(*workers.rbegin(), util::worker_count(65536, 64));
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), 64);
+}
+
+TEST(WorkerLoop, RethrowsTheLowestFailingIndexOnAnyThreadCount) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    try {
+      util::for_each_index(200, threads, [](std::size_t, std::size_t i) {
+        if (i % 50 == 37) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "37") << "threads=" << threads;
+    }
+  }
+  // No jobs: nothing runs, nothing throws.
+  util::for_each_index(0, 4, [](std::size_t, std::size_t) {
+    throw std::runtime_error("ran");
+  });
 }
 
 }  // namespace

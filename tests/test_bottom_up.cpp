@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -148,10 +149,11 @@ TEST(BottomUpDet, AblationIgnoringActivationIsUnsound) {
   // Dropping the third DTrip coordinate must lose the (5,310) point of
   // the factory front: {pb} is pruned at dr (Example 4's failure mode).
   const auto m = casestudies::make_factory();
-  detail::BottomUpOptions opt;
-  opt.ignore_activation = true;
-  const auto triples = detail::bottom_up_root_front(
-      m.tree, m.cost, m.damage, std::vector<double>(3, 1.0), opt);
+  detail::SweepAblation ablation;
+  ablation.ignore_activation = true;
+  const auto triples = detail::bottom_up_root_front_reference(
+      m.tree, m.cost, m.damage, std::vector<double>(3, 1.0), kNoBudget,
+      ablation);
   double best = 0;
   for (const auto& t : triples) best = std::max(best, t.t.damage);
   EXPECT_LT(best, 310.0);
@@ -363,7 +365,8 @@ TEST(BottomUpPruned, CgdAndCgedEqualTheFullFrontAtItsBreakpoints) {
   opt.per_size = 3;
   opt.treelike = true;
   Rng rng(0xC6D2);
-  std::size_t models = 0, probes = 0, reruns = 0;
+  std::size_t models = 0, probes = 0, cgd_reruns = 0, cged_probes = 0,
+              cged_reruns = 0;
   for (const auto& e : gen::make_suite(opt, rng)) {
     const std::size_t n = e.tree.node_count();
     if (n < 30 || n > 250) continue;
@@ -373,19 +376,26 @@ TEST(BottomUpPruned, CgdAndCgedEqualTheFullFrontAtItsBreakpoints) {
     // fast with size, so larger models probe 8 of them.
     const CdAt dm = pm.deterministic();
     expect_pruned_equals_full(dm, cdpf_bottom_up(dm), n <= 60 ? SIZE_MAX : 8,
-                              cgd, "cgd", &probes, &reruns);
+                              cgd, "cgd", &probes, &cgd_reruns);
     // CEDPF fronts are larger still (Example 10): models up to 90 nodes.
     if (n <= 90)
       expect_pruned_equals_full(pm, cedpf_bottom_up(pm),
-                                n <= 40 ? SIZE_MAX : 6, cged, "cged", &probes,
-                                &reruns);
+                                n <= 40 ? SIZE_MAX : 6, cged, "cged",
+                                &cged_probes, &cged_reruns);
     if (::testing::Test::HasFailure()) break;
   }
   EXPECT_GE(models, 500u);
-  // The greedy sums its attack's damage in another order than the sweep,
-  // so a bound can miss by an ulp (mostly just above the maximum damage,
-  // about 1% of probes here); the re-sweep covers it, and stays rare.
-  EXPECT_LE(reruns * 20, probes) << reruns << " of " << probes;
+  // The greedy certifies its attack with the sweep's own arithmetic, so
+  // on deterministic models a bound always leaves the threshold in the
+  // pruned front: CgD never sweeps twice.
+  EXPECT_EQ(cgd_reruns, 0u) << "of " << probes << " CgD probes";
+  // CgED's greedy combines activations in another order than the sweep,
+  // so its re-sweep stays the safety net; it is rare.
+  EXPECT_LE(cged_reruns * 20, probes + cged_probes)
+      << cged_reruns << " of " << cged_probes << " CgED probes";
+  std::printf("CgD: %zu probes, %zu re-sweeps; CgED: %zu probes, %zu "
+              "re-sweeps\n",
+              probes, cgd_reruns, cged_probes, cged_reruns);
 }
 
 TEST(BottomUpPruned, ASmallBudgetReSweepsUnpruned) {

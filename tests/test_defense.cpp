@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "casestudies/factory.hpp"
-#include "casestudies/panda.hpp"
 #include "core/problems.hpp"
 
 namespace atcd::defense {
@@ -17,11 +16,26 @@ std::vector<Countermeasure> factory_catalogue() {
   };
 }
 
-TEST(Defense, HardenMakesBassUnaffordable) {
+double cost_of(const CdAt& m, const char* bas) {
+  return m.cost[m.tree.bas_index(*m.tree.find(bas))];
+}
+
+TEST(Defense, TheRuleScalesCostAndProbability) {
+  const HardeningSemantics s{10.0, 0.25};
+  EXPECT_EQ(hardened_cost(3.0, false, s), 3.0);
+  EXPECT_EQ(hardened_cost(3.0, true, s), 30.0);
+  // A free BAS is charged the bare factor: it must not stay free.
+  EXPECT_EQ(hardened_cost(0.0, false, s), 0.0);
+  EXPECT_EQ(hardened_cost(0.0, true, s), 10.0);
+  EXPECT_EQ(hardened_prob(0.8, false, s), 0.8);
+  EXPECT_EQ(hardened_prob(0.8, true, s), 0.2);
+}
+
+TEST(Defense, HardenMakesBassUnaffordableAtTheDefaultFactor) {
   const auto m = casestudies::make_factory();
-  const auto cat = factory_catalogue();
-  const auto hardened =
-      harden(m, cat, {true, false, false}, HardeningSemantics{});
+  const auto hardened = harden(m, factory_catalogue(), {true, false, false},
+                               HardeningSemantics{});
+  EXPECT_EQ(cost_of(hardened, "ca"), 1e6);
   // The cyberattack path is gone: DgC with any sane budget can only use
   // the robot path.
   const auto r = dgc(hardened, 10.0);
@@ -38,9 +52,32 @@ TEST(Defense, FiniteCostFactorScalesInsteadOfRemoving) {
   const auto hardened =
       harden(m, factory_catalogue(), {true, false, false}, s);
   // ca now costs 10: still possible, just expensive.
+  EXPECT_EQ(cost_of(hardened, "ca"), 10.0);
   const auto r = dgc(hardened, 10.0);
   EXPECT_DOUBLE_EQ(r.damage, 310.0);  // robot path is cheaper anyway
   EXPECT_DOUBLE_EQ(dgc(hardened, 100.0).damage, 310.0);  // all damage nodes
+}
+
+TEST(Defense, ZeroCostBasIsChargedTheBareFactor) {
+  auto m = casestudies::make_factory();
+  m.cost[m.tree.bas_index(*m.tree.find("ca"))] = 0.0;
+  const auto hardened = harden(m, factory_catalogue(), {true, false, false},
+                               HardeningSemantics{});
+  EXPECT_EQ(cost_of(hardened, "ca"), 1e6);
+  EXPECT_DOUBLE_EQ(dgc(hardened, 2.0).damage, 10.0);  // ca is out of reach
+}
+
+TEST(Defense, ABasNamedTwiceIsHardenedOnce) {
+  const auto m = casestudies::make_factory();
+  const std::vector<Countermeasure> twice{{"d1", 1.0, {"ca"}},
+                                          {"d2", 1.0, {"ca", "fd"}}};
+  HardeningSemantics s;
+  s.cost_factor = 10.0;
+  const auto both = harden(m, twice, {true, true}, s);
+  EXPECT_EQ(cost_of(both, "ca"), 10.0);
+  EXPECT_EQ(cost_of(both, "fd"), 20.0);
+  EXPECT_EQ(cost_of(both, "pb"), 3.0);
+  EXPECT_EQ(cost_of(harden(m, twice, {false, true}, s), "ca"), 10.0);
 }
 
 TEST(Defense, ProbabilisticHardeningScalesProbability) {
@@ -61,80 +98,6 @@ TEST(Defense, RejectsBadInput) {
   EXPECT_THROW(harden(m, bad, {true}, {}), ModelError);
   std::vector<Countermeasure> gate{{"x", 1.0, {"dr"}}};
   EXPECT_THROW(harden(m, gate, {true}, {}), ModelError);
-}
-
-TEST(Defense, FrontIsAParetoStaircase) {
-  const auto m = casestudies::make_factory();
-  const auto front = defense_front(m, factory_catalogue());
-  ASSERT_GE(front.size(), 2u);
-  // First point: empty portfolio, full residual damage 310.
-  EXPECT_DOUBLE_EQ(front[0].defense_cost, 0.0);
-  EXPECT_DOUBLE_EQ(front[0].residual_damage, 310.0);
-  for (std::size_t i = 1; i < front.size(); ++i) {
-    EXPECT_GT(front[i].defense_cost, front[i - 1].defense_cost);
-    EXPECT_LT(front[i].residual_damage, front[i - 1].residual_damage);
-  }
-  // Full catalogue kills all damage; the cheapest all-stopping portfolio
-  // costs at most 11.
-  EXPECT_DOUBLE_EQ(front.back().residual_damage, 0.0);
-  EXPECT_LE(front.back().defense_cost, 11.0);
-}
-
-TEST(Defense, FrontAgainstBudgetedAttacker) {
-  const auto m = casestudies::make_factory();
-  DefenseOptions opt;
-  opt.attacker_budget = 2.0;  // attacker can only afford ca or fd
-  const auto front = defense_front(m, factory_catalogue(), opt);
-  EXPECT_DOUBLE_EQ(front[0].residual_damage, 200.0);  // {ca}
-  // Patching ca leaves only {fd}: residual 10 for defense cost 5.
-  bool found = false;
-  for (const auto& p : front)
-    if (p.portfolio == std::vector<std::string>{"patch_it"}) {
-      EXPECT_DOUBLE_EQ(p.residual_damage, 10.0);
-      found = true;
-    }
-  EXPECT_TRUE(found);
-}
-
-TEST(Defense, ExhaustiveCapacityGuard) {
-  const auto m = casestudies::make_factory();
-  std::vector<Countermeasure> big;
-  for (int i = 0; i < 20; ++i) big.push_back({"cm" + std::to_string(i), 1.0, {"ca"}});
-  DefenseOptions opt;
-  opt.max_exhaustive = 10;
-  EXPECT_THROW(defense_front(m, big, opt), CapacityError);
-}
-
-TEST(Defense, GreedyTraceIsMonotone) {
-  const auto m = casestudies::make_panda().deterministic();
-  std::vector<Countermeasure> cat{
-      {"vet_insiders", 6.0, {"b18_internal_leakage"}},
-      {"guard_station", 5.0,
-       {"b19_look_for_base_station", "b15_find_base_station"}},
-      {"code_signing", 4.0,
-       {"b21_send_malicious_codes", "b22_malicious_codes_ran"}},
-      {"encrypt_traffic", 7.0,
-       {"b8_physical_layer", "b9_mac_layer", "b10_appliance_layer"}},
-  };
-  const auto trace = greedy_defense(m, cat, 15.0);
-  ASSERT_GE(trace.size(), 2u);
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LE(trace[i].residual_damage, trace[i - 1].residual_damage);
-    EXPECT_LE(trace[i].defense_cost, 15.0);
-  }
-  // The first pick should target the base station or internal leakage —
-  // the paper's own advice.
-  ASSERT_FALSE(trace.back().portfolio.empty());
-}
-
-TEST(Defense, GreedyStopsWhenNothingHelps) {
-  const auto m = casestudies::make_factory();
-  std::vector<Countermeasure> cat{{"useless", 1.0, {"ca"}}};
-  // Hardening ca when the attacker has no budget anyway changes nothing.
-  DefenseOptions opt;
-  opt.attacker_budget = 0.0;
-  const auto trace = greedy_defense(m, cat, 100.0, opt);
-  EXPECT_EQ(trace.size(), 1u);  // only the empty starting point
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <sstream>
 #include <variant>
 
@@ -204,6 +205,70 @@ TEST(Integration, DeepTreeChainCostsWhatItsBytesCost) {
   const std::string& scores =
       std::get<api::AnalysisPayload>(scored.payload).table;
   EXPECT_NE(scores.find(" evaluated=4 "), std::string::npos) << scores;
+}
+
+/// A flat OR over \p n BASs of cost 1 and damage 1, named with the
+/// given prefix.
+std::string flat_or(int n, const std::string& prefix = "b") {
+  std::ostringstream o;
+  for (int i = 0; i < n; ++i)
+    o << "bas " << prefix << i << " cost=1 damage=1\n";
+  o << "or r =";
+  for (int i = 0; i < n; ++i) o << (i ? ", " : " ") << prefix << i;
+  o << "\n";
+  return o.str();
+}
+
+std::size_t count_lines(const std::string& s) {
+  return static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n'));
+}
+
+TEST(Integration, SensitivityHoldsOneScenarioPerWorker) {
+  // 600 perturbed scenarios of a 300-BAS flat OR (a ~9 KB request).
+  // Each scenario's CDPF has 301 points with 300-bit witnesses; holding
+  // every scenario's model and front until the ranking, as a fan-out of
+  // whole instances does, raises the peak by tens of MB.
+  api::AnalyzeSensitivityRequest sr;
+  sr.problem = engine::Problem::Cdpf;
+  sr.model = flat_or(300);
+  const long before = peak_rss_kb();
+  api::Dispatcher d;
+  api::Request req;
+  req.op = sr;
+  const api::Response resp = d.dispatch(req);
+  EXPECT_LT(peak_rss_kb() - before, 16 * 1024) << "peak RSS rose (KB)";
+  ASSERT_EQ(resp.code, api::ErrorCode::Ok) << resp.error;
+  const std::string& table =
+      std::get<api::AnalysisPayload>(resp.payload).table;
+  EXPECT_EQ(count_lines(table), 2u + 600u);
+  EXPECT_NE(table.find(" base-points=301\n"), std::string::npos);
+}
+
+TEST(Integration, PortfolioKeepsNoNamesPerSubset) {
+  // 16 defenses with 55-character names, each hardening one BAS of a
+  // 16-BAS flat OR, all affordable: 65,536 scored subsets.  Keeping the
+  // selected names of every subset costs ~50 MB; a mask costs 8 bytes.
+  api::AnalyzePortfolioRequest pf;
+  pf.problem = engine::Problem::Dgc;
+  pf.model = flat_or(16);
+  for (int i = 0; i < 16; ++i) {
+    std::string name = "countermeasure_" + std::to_string(i) + "_";
+    name.resize(55, 'x');
+    pf.defenses.push_back(name + ":1:b" + std::to_string(i));
+  }
+  const long before = peak_rss_kb();
+  api::Dispatcher d;
+  api::Request req;
+  req.op = pf;
+  const api::Response resp = d.dispatch(req);
+  EXPECT_LT(peak_rss_kb() - before, 16 * 1024) << "peak RSS rose (KB)";
+  ASSERT_EQ(resp.code, api::ErrorCode::Ok) << resp.error;
+  const std::string& table =
+      std::get<api::AnalysisPayload>(resp.payload).table;
+  // Every defense removes one unit of damage: 17 frontier points.
+  EXPECT_EQ(count_lines(table), 2u + 17u) << table;
+  EXPECT_NE(table.find(" evaluated=65536 pruned=0\n"), std::string::npos)
+      << table;
 }
 
 }  // namespace

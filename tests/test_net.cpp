@@ -12,8 +12,11 @@
 
 #include <csignal>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -288,22 +291,56 @@ TEST(NetServe, ConnectionCapRejectsWithTypedError) {
 // ---------------------------------------------------------------------------
 
 TEST(NetDrain, CompletesInFlightAndDeliversShutdownOnEveryConnection) {
-  net::ServerOptions opt;
-  opt.serve.threads = 2;  // pipelined, so the sweep stays in flight
+  // The "heavy" request blocks in dispatch until the drain has reached
+  // every connection, so it is in flight at drain time on every run,
+  // however the host schedules the workers.
   api::Dispatcher dispatcher;
-  net::Server server(dispatcher, opt);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool heavy_started = false, release_heavy = false;
+  const api::DispatchFn dispatch = [&](const Request& r) {
+    if (r.id == "heavy") {
+      std::unique_lock<std::mutex> lock(mu);
+      heavy_started = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release_heavy; });
+    }
+    return dispatcher.dispatch(r);
+  };
+  net::ServerOptions opt;
+  opt.serve.threads = 2;  // pipelined, so the quick solve passes it
+  net::Server server(dispatcher.metrics(), opt, [&](net::BufferedFd& io) {
+    net::TcpLineTransport transport(io);
+    return api::serve_lines(transport, dispatch, dispatcher.metrics(),
+                            opt.serve);
+  });
+  const auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release_heavy = true;
+    }
+    cv.notify_all();
+  };
+  // Released before the server's destructor joins, also when an
+  // assertion below returns early.
+  struct Guard {
+    std::function<void()> on_exit;
+    ~Guard() { on_exit(); }
+  } release_on_exit{release};
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
 
-  // One busy connection: a heavy sweep followed by a quick solve.
-  // Receiving the solve's response proves the reader consumed the sweep
-  // line first, so the sweep is genuinely in flight at drain time.
+  // One busy connection: the held sweep followed by a quick solve.
   net::Client busy = connect_to(server);
   ASSERT_TRUE(busy.send_line(sweep_line("heavy")));
   ASSERT_TRUE(busy.send_line(solve_line("quick")));
   std::string resp;
   ASSERT_TRUE(busy.read_line(&resp));
   EXPECT_EQ(id_of(resp), "quick");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return heavy_started; });
+  }
 
   // Two idle connections (established: each did one exchange).
   net::Client idle1 = connect_to(server);
@@ -313,21 +350,23 @@ TEST(NetDrain, CompletesInFlightAndDeliversShutdownOnEveryConnection) {
 
   server.request_drain();
 
-  // The busy connection first gets the completed in-flight sweep, then
-  // the structured shutdown response as its final line.
+  // Every idle connection's final line is the shutdown response.
+  for (net::Client* c : {&idle1, &idle2}) {
+    ASSERT_TRUE(c->read_line(&resp));
+    EXPECT_TRUE(is_shutdown(resp));
+    EXPECT_FALSE(c->read_line(&resp));
+  }
+
+  // The drain has begun; let the sweep finish.  The busy connection
+  // first gets the completed in-flight sweep, then the structured
+  // shutdown response as its final line.
+  release();
   ASSERT_TRUE(busy.read_line(&resp));
   EXPECT_EQ(id_of(resp), "heavy");
   EXPECT_EQ(decode_response(resp).value.code, ErrorCode::Ok);
   ASSERT_TRUE(busy.read_line(&resp));
   EXPECT_TRUE(is_shutdown(resp));
   EXPECT_FALSE(busy.read_line(&resp));
-
-  // Every idle connection's final line is the shutdown response too.
-  for (net::Client* c : {&idle1, &idle2}) {
-    ASSERT_TRUE(c->read_line(&resp));
-    EXPECT_TRUE(is_shutdown(resp));
-    EXPECT_FALSE(c->read_line(&resp));
-  }
 
   server.wait();
   EXPECT_EQ(server.open_connections(), 0u);
